@@ -1,6 +1,5 @@
 //! Micro-benchmarks of the [`rejuv_monitor::ObsQueue`] ingestion hot
-//! path, run on both [`QueueBackend`]s so the lock-free ring can be
-//! compared against the mutex reference like-for-like.
+//! path.
 //!
 //! Three shapes cover the queue's life under a monitoring workload:
 //!
@@ -8,18 +7,15 @@
 //!   time: the per-observation latency floor (no batching to hide
 //!   behind, both cursors bounce through the same core's cache).
 //! * `batched_throughput` — `push_batch` / `drain_into` in
-//!   supervisor-sized batches: the steady-state fast path, where the
-//!   ring amortises one tail publish (and the mutex one lock) per
-//!   batch.
+//!   supervisor-sized batches: the steady-state fast path, where one
+//!   lock acquisition is amortised over the whole batch.
 //! * `blocking_backpressure` — a producer thread pushing losslessly
 //!   against a consumer thread draining a deliberately small queue:
 //!   real cross-thread traffic through the spin-then-park slow path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rejuv_monitor::{ObsQueue, QueueBackend};
+use rejuv_monitor::ObsQueue;
 use std::hint::black_box;
-
-const BACKENDS: [QueueBackend; 2] = [QueueBackend::Mutex, QueueBackend::Ring];
 
 /// Deterministic pseudo-random observation values (an LCG; no RNG
 /// dependency).
@@ -45,73 +41,67 @@ fn bench_obs_queue(c: &mut Criterion) {
     // One sample in, one sample out: per-observation cost with no
     // batching. The drain buffer is reused, so the numbers measure the
     // queue, not the allocator.
-    for backend in BACKENDS {
-        group.bench_function(format!("ping_pong/{backend}"), |b| {
-            let q = ObsQueue::with_backend(64, backend);
-            let mut out = Vec::with_capacity(1);
-            b.iter(|| {
-                let mut acc = 0.0f64;
-                for &v in &vs {
-                    q.push(v);
-                    out.clear();
-                    q.drain_into(&mut out, 1);
-                    acc += out[0].0;
-                }
-                black_box(acc)
-            });
+    group.bench_function("ping_pong", |b| {
+        let q = ObsQueue::bounded(64);
+        let mut out = Vec::with_capacity(1);
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for &v in &vs {
+                q.push(v);
+                out.clear();
+                q.drain_into(&mut out, 1);
+                acc += out[0].0;
+            }
+            black_box(acc)
         });
-    }
+    });
 
     // Supervisor-shaped batches: 256-sample pushes against 512-sample
     // drains, the defaults' steady state.
-    for backend in BACKENDS {
-        group.bench_function(format!("batched_throughput/{backend}"), |b| {
-            let q = ObsQueue::with_backend(8_192, backend);
-            let mut out = Vec::with_capacity(512);
-            b.iter(|| {
-                let mut drained = 0usize;
-                for chunk in vs.chunks(256) {
-                    q.push_batch(chunk.iter().map(|&v| (v, f64::NAN)));
-                    out.clear();
-                    drained += q.drain_into(&mut out, 512);
-                }
+    group.bench_function("batched_throughput", |b| {
+        let q = ObsQueue::bounded(8_192);
+        let mut out = Vec::with_capacity(512);
+        b.iter(|| {
+            let mut drained = 0usize;
+            for chunk in vs.chunks(256) {
+                q.push_batch(chunk.iter().map(|&v| (v, f64::NAN)));
                 out.clear();
-                drained += q.drain_into(&mut out, usize::MAX);
-                black_box(drained)
-            });
+                drained += q.drain_into(&mut out, 512);
+            }
+            out.clear();
+            drained += q.drain_into(&mut out, usize::MAX);
+            black_box(drained)
         });
-    }
+    });
 
     // Cross-thread with a queue small enough that the producer keeps
     // hitting back-pressure: measures the whole loop including the
     // spin-then-park slow path, not just the happy case.
-    for backend in BACKENDS {
-        group.bench_function(format!("blocking_backpressure/{backend}"), |b| {
-            b.iter(|| {
-                let q = ObsQueue::with_backend(128, backend);
-                let producer = q.clone();
-                let vs = &vs;
-                std::thread::scope(|scope| {
-                    scope.spawn(move || {
-                        for chunk in vs.chunks(64) {
-                            producer.push_batch_blocking(chunk.iter().map(|&v| (v, f64::NAN)));
-                        }
-                    });
-                    let mut out = Vec::with_capacity(64);
-                    let mut seen = 0usize;
-                    while seen < N {
-                        out.clear();
-                        let n = q.drain_into(&mut out, 64);
-                        seen += n;
-                        if n == 0 {
-                            std::thread::yield_now();
-                        }
+    group.bench_function("blocking_backpressure", |b| {
+        b.iter(|| {
+            let q = ObsQueue::bounded(128);
+            let producer = q.clone();
+            let vs = &vs;
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    for chunk in vs.chunks(64) {
+                        producer.push_batch_blocking(chunk.iter().map(|&v| (v, f64::NAN)));
                     }
-                    black_box(seen)
-                })
-            });
+                });
+                let mut out = Vec::with_capacity(64);
+                let mut seen = 0usize;
+                while seen < N {
+                    out.clear();
+                    let n = q.drain_into(&mut out, 64);
+                    seen += n;
+                    if n == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                black_box(seen)
+            })
         });
-    }
+    });
 
     group.finish();
 }

@@ -1,18 +1,18 @@
-//! Drain-plane microprobe: batch kernel versus scalar drain, nothing
-//! else on the core.
+//! Drain-plane microprobe: the drain loop alone, nothing else on the
+//! core.
 //!
 //! Preloads one shard's queue with a synthetic load stream and times
 //! *only* the drain loop (`poll_shard` until empty), so the measured
 //! quantity is the per-observation cost of the drain plane itself —
 //! queue pop, detector step, decision digest, histograms — with no
 //! producer thread sharing the core, unlike `bench_monitor`'s threaded
-//! cells. The two variants alternate within each round and the best
-//! round wins, which keeps slow machine drift out of the comparison.
+//! cells. The best of several rounds wins, which keeps slow machine
+//! drift out of the figure.
 //!
 //! Run with: `cargo run --release -p rejuv-bench --example drain_probe`
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-use rejuv_monitor::{QueueBackend, Supervisor, SupervisorConfig};
+use rejuv_monitor::{Supervisor, SupervisorConfig};
 use std::time::Instant;
 
 const N: usize = 1_000_000;
@@ -45,14 +45,12 @@ fn synthetic(shard: u64, i: u64) -> f64 {
 }
 
 /// One preload-then-drain pass; returns the drain wall time in seconds.
-fn timed_drain(scalar_drain: bool) -> f64 {
+fn timed_drain() -> f64 {
     let config = SupervisorConfig {
         queue_capacity: N,
         drain_batch: 512,
         snapshot_every: None,
-        backend: QueueBackend::Mutex,
         consumers: 1,
-        scalar_drain,
     };
     let mut sup = Supervisor::with_shards(config, 1, |_| sraa());
     let sender = sup.sender(0);
@@ -71,15 +69,6 @@ fn timed_drain(scalar_drain: bool) -> f64 {
 }
 
 fn main() {
-    let mut best_batch = f64::MAX;
-    let mut best_scalar = f64::MAX;
-    for _ in 0..ROUNDS {
-        best_batch = best_batch.min(timed_drain(false));
-        best_scalar = best_scalar.min(timed_drain(true));
-    }
-    let batch = N as f64 / best_batch / 1e6;
-    let scalar = N as f64 / best_scalar / 1e6;
-    println!("batch kernel : best {batch:.1} M obs/s");
-    println!("scalar drain : best {scalar:.1} M obs/s");
-    println!("batch/scalar : {:.2}x", batch / scalar);
+    let best = (0..ROUNDS).map(|_| timed_drain()).fold(f64::MAX, f64::min);
+    println!("drain: best {:.1} M obs/s", N as f64 / best / 1e6);
 }

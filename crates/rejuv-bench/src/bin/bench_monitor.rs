@@ -6,13 +6,12 @@
 //! `--producer-batch` samples), while a [`ConsumerPool`] of
 //! `--consumers` worker threads drains the shards (static round-robin
 //! shard ownership plus bounded work-stealing; workers park, not spin,
-//! whenever the producers outrun them). Runs the full
-//! `backends x consumer-counts` grid — each cell the best of three
-//! passes, so machine drift on a shared box doesn't masquerade as a
-//! backend difference — reports sustained observations per second plus
-//! steal/park/wait counters and the ring-vs-mutex speedup, verifies
-//! every pass is deterministic (per-shard decision digests match one
-//! serial reference, regardless of backend or consumer count) and
+//! whenever the producers outrun them). Runs one cell per consumer
+//! count — each cell the best of three passes, so machine drift on a
+//! shared box doesn't masquerade as a consumer-count difference —
+//! reports sustained observations per second plus steal/park/wait
+//! counters, verifies every pass is deterministic (per-shard decision
+//! digests match one serial reference at every consumer count) and
 //! writes the numbers to `BENCH_monitor.json`.
 //!
 //! ```text
@@ -29,8 +28,6 @@
 //!   --drain-batch N      max observations per drain (default 512)
 //!   --producer-batch N   samples per producer push (default 256;
 //!                        1 pushes one sample at a time)
-//!   --queue BACKEND      mutex|ring|fanin|both|all (default both =
-//!                        mutex+ring): which queue backend(s) to run
 //!   --consumers LIST     comma-separated consumer-thread counts to
 //!                        sweep (default 1,2,4)
 //!   --lossy              producers push without blocking: a full queue
@@ -53,17 +50,8 @@
 //!                        reference and its report matches the twin's
 //!                        (modulo the scheduling-noise drain-batching
 //!                        histogram), and reports obs/s for both
-//!   --scalar-drain       run the whole grid through the per-sample
-//!                        scalar drain path instead of the batch kernel
-//!                        (debug/ablation knob; digests must not change)
 //!   --quick              small run for CI smoke (25000 obs/shard)
 //! ```
-//!
-//! Unless `--lossy` is given, the run also times one kernel-A/B cell
-//! (first backend, one consumer, batch kernel vs `scalar_drain`,
-//! alternating three times and keeping each variant's best), asserts
-//! both variants reproduce the serial reference bit for bit and
-//! records the speedup in the JSON under `"kernel_cell"`.
 //!
 //! Exit status: `0` on success, `1` when `--listen` cannot bind its
 //! address, `2` on a usage error (one-line `bench_monitor: ...`
@@ -71,8 +59,8 @@
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
 use rejuv_monitor::{
-    ConsumerPool, ConsumerThread, DlqStats, FleetConfig, MetricsServer, QueueBackend,
-    SharedSupervisor, Supervisor, SupervisorConfig,
+    ConsumerPool, DlqStats, FleetConfig, MetricsServer, SharedSupervisor, Supervisor,
+    SupervisorConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -89,13 +77,11 @@ struct Options {
     queue_capacity: usize,
     drain_batch: usize,
     producer_batch: usize,
-    backends: Vec<QueueBackend>,
     consumers: Vec<usize>,
     lossy: bool,
     dlq: bool,
     dlq_cap: usize,
     listen: Option<SocketAddr>,
-    scalar_drain: bool,
 }
 
 /// Parses one typed flag value, turning parse failures into a one-line
@@ -118,13 +104,11 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
         queue_capacity: 8_192,
         drain_batch: 512,
         producer_batch: 256,
-        backends: vec![QueueBackend::Mutex, QueueBackend::Ring],
         consumers: vec![1, 2, 4],
         lossy: false,
         dlq: false,
         dlq_cap: 65_536,
         listen: None,
-        scalar_drain: false,
     };
     let mut quick = false;
     let mut observations_set = false;
@@ -157,14 +141,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
             "--producer-batch" => {
                 opts.producer_batch = parsed("--producer-batch", &value("--producer-batch")?)?;
             }
-            "--queue" => {
-                let which = value("--queue")?;
-                opts.backends = match which.to_lowercase().as_str() {
-                    "both" => vec![QueueBackend::Mutex, QueueBackend::Ring],
-                    "all" => vec![QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn],
-                    one => vec![one.parse().map_err(|e| format!("{e} (or both|all)"))?],
-                };
-            }
             "--consumers" => {
                 let list = value("--consumers")?;
                 opts.consumers = list
@@ -179,7 +155,6 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
                 dlq_cap_set = true;
             }
             "--listen" => opts.listen = Some(parsed("--listen", &value("--listen")?)?),
-            "--scalar-drain" => opts.scalar_drain = true,
             "--quick" => quick = true,
             other => return Err(format!("unknown option {other}")),
         }
@@ -257,14 +232,12 @@ fn synthetic(shard: u64, i: u64) -> f64 {
     base + drift + spike
 }
 
-fn config_for(opts: &Options, backend: QueueBackend, consumers: usize) -> SupervisorConfig {
+fn config_for(opts: &Options, consumers: usize) -> SupervisorConfig {
     SupervisorConfig {
         queue_capacity: opts.queue_capacity,
         drain_batch: opts.drain_batch,
         snapshot_every: None,
-        backend,
         consumers,
-        scalar_drain: opts.scalar_drain,
     }
 }
 
@@ -292,8 +265,8 @@ struct RunStats {
 /// Runs the workload with threaded producers and a consumer pool (no
 /// spin loop anywhere: producers park on back-pressure, pool workers
 /// park when their queues are empty).
-fn timed_run(opts: &Options, backend: QueueBackend, consumers: usize) -> RunStats {
-    let mut supervisor = build_supervisor(opts, config_for(opts, backend, consumers));
+fn timed_run(opts: &Options, consumers: usize) -> RunStats {
+    let mut supervisor = build_supervisor(opts, config_for(opts, consumers));
     if opts.dlq {
         supervisor.enable_dlq(opts.dlq_cap);
     }
@@ -381,10 +354,10 @@ fn timed_run(opts: &Options, backend: QueueBackend, consumers: usize) -> RunStat
 }
 
 /// Serial reference: same streams fed synchronously, no threads. Its
-/// digests are the ground truth every threaded run — on every backend,
-/// at every consumer count — must reproduce.
+/// digests are the ground truth every threaded run — at every consumer
+/// count — must reproduce.
 fn reference_digests(opts: &Options) -> Vec<String> {
-    let mut supervisor = build_supervisor(opts, config_for(opts, QueueBackend::Mutex, 1));
+    let mut supervisor = build_supervisor(opts, config_for(opts, 1));
     for shard in 0..opts.shards {
         for i in 0..opts.observations {
             supervisor
@@ -426,19 +399,18 @@ struct ScrapedRun {
     scrapes: u64,
 }
 
-/// One shared-mode pass (supervisor behind a mutex, `ConsumerThread`
-/// drain plane), optionally with a live `/metrics` responder scraped
+/// One shared-mode pass (supervisor behind a mutex, shared consumer
+/// pool as the drain plane), optionally with a live `/metrics` responder scraped
 /// every 50 ms while the producers run. The queue capacity is widened
 /// to hold a full shard stream so blocking producers never park —
 /// `producer_waits` stays deterministically zero and the final report
 /// is byte-comparable across runs.
 fn scraped_run(opts: &Options, listen: Option<SocketAddr>) -> ScrapedRun {
-    let backend = *opts.backends.first().expect("at least one backend");
     let consumers = *opts.consumers.last().expect("at least one count");
-    let mut config = config_for(opts, backend, consumers);
+    let mut config = config_for(opts, consumers);
     config.queue_capacity = config.queue_capacity.max(opts.observations as usize);
     let shared = SharedSupervisor::new(build_supervisor(opts, config));
-    let consumer = ConsumerThread::spawn_shared(&shared);
+    let consumer = ConsumerPool::spawn_shared(&shared);
     let server = listen.map(|addr| {
         MetricsServer::bind(addr, shared.clone(), Some(consumer.stats_handle())).unwrap_or_else(
             |e| {
@@ -480,7 +452,7 @@ fn scraped_run(opts: &Options, listen: Option<SocketAddr>) -> ScrapedRun {
             });
         }
     });
-    let (_, _stats) = consumer.join_stats().expect("no log attached");
+    consumer.join().expect("no log attached");
     let elapsed = start.elapsed().as_secs_f64();
 
     stop.store(true, Ordering::SeqCst);
@@ -550,147 +522,77 @@ fn main() {
     println!("serial reference for digest checks...");
     let reference = reference_digests(&opts);
 
-    let mut runs = Vec::new();
-    for &backend in &opts.backends {
-        // Warm-up pass to page in code and touch the allocator.
-        let warmup = Options {
-            observations: 50_000.min(opts.observations),
-            out: opts.out.clone(),
-            fleet: opts.fleet.clone(),
-            backends: opts.backends.clone(),
-            consumers: opts.consumers.clone(),
-            ..opts
-        };
-        let _ = timed_run(&warmup, backend, *opts.consumers.last().unwrap());
+    // Warm-up pass to page in code and touch the allocator.
+    let warmup = Options {
+        observations: 50_000.min(opts.observations),
+        out: opts.out.clone(),
+        fleet: opts.fleet.clone(),
+        consumers: opts.consumers.clone(),
+        ..opts
+    };
+    let _ = timed_run(&warmup, *opts.consumers.last().unwrap());
 
-        for &consumers in &opts.consumers {
-            // Best of three passes per cell: each pass is ~0.1 s, well
-            // under the duration of a noisy-neighbour episode on a
-            // shared box, so a single-pass grid confounds backend
-            // differences with machine drift. Every pass still has its
-            // digests checked below.
-            let mut stats = timed_run(&opts, backend, consumers);
-            for _ in 0..2 {
-                let again = timed_run(&opts, backend, consumers);
-                // Lossy passes drop timing-dependent sample sets, so
-                // their digests legitimately differ run to run; every
-                // lossless pass must agree with the first.
-                if !opts.lossy {
-                    assert_eq!(
-                        again.digests, stats.digests,
-                        "{backend} x{consumers}: repeat passes must agree"
-                    );
-                }
-                if again.elapsed < stats.elapsed {
-                    stats = again;
-                }
-            }
-            let throughput = total as f64 / stats.elapsed;
-            println!(
-                "  {backend} x{consumers}: {:.2} s, {:.2} M obs/s \
-                 ({} steals, {} parks, {} producer waits, {} dropped)",
-                stats.elapsed,
-                throughput / 1e6,
-                stats.steals,
-                stats.consumer_parks,
-                stats.producer_waits,
-                stats.dropped
-            );
-            if let Some(dlq) = &stats.dlq {
-                println!(
-                    "    dead-letter queue: {} captured, {} replayed, {} overflowed, {} pending",
-                    dlq.captured, dlq.replayed, dlq.overflow, dlq.pending
+    let mut runs = Vec::new();
+    for &consumers in &opts.consumers {
+        // Best of three passes per cell: each pass is ~0.1 s, well
+        // under the duration of a noisy-neighbour episode on a shared
+        // box, so a single-pass grid confounds consumer-count
+        // differences with machine drift. Every pass still has its
+        // digests checked below.
+        let mut stats = timed_run(&opts, consumers);
+        for _ in 0..2 {
+            let again = timed_run(&opts, consumers);
+            // Lossy passes drop timing-dependent sample sets, so their
+            // digests legitimately differ run to run; every lossless
+            // pass must agree with the first.
+            if !opts.lossy {
+                assert_eq!(
+                    again.digests, stats.digests,
+                    "x{consumers}: repeat passes must agree"
                 );
             }
-            // A lossy run without a DLQ loses samples, so its digests
-            // legitimately diverge; a DLQ run whose dead-letter queue
-            // itself overflowed lost the overflowed samples (counted,
-            // never silent). Every other run must reproduce the serial
-            // reference bit for bit — including saturated --dlq runs,
-            // whose replay restores the exact stream.
-            let replay_exact = stats.dlq.as_ref().is_none_or(|d| d.overflow == 0);
-            let deterministic = stats.digests == reference;
-            if !opts.lossy || (opts.dlq && replay_exact) {
-                assert!(
-                    deterministic,
-                    "{backend} x{consumers} threaded run diverged from the serial reference"
-                );
+            if again.elapsed < stats.elapsed {
+                stats = again;
             }
-            runs.push((backend, consumers, stats, throughput, deterministic));
         }
+        let throughput = total as f64 / stats.elapsed;
+        println!(
+            "  x{consumers}: {:.2} s, {:.2} M obs/s \
+             ({} steals, {} parks, {} producer waits, {} dropped)",
+            stats.elapsed,
+            throughput / 1e6,
+            stats.steals,
+            stats.consumer_parks,
+            stats.producer_waits,
+            stats.dropped
+        );
+        if let Some(dlq) = &stats.dlq {
+            println!(
+                "    dead-letter queue: {} captured, {} replayed, {} overflowed, {} pending",
+                dlq.captured, dlq.replayed, dlq.overflow, dlq.pending
+            );
+        }
+        // A lossy run without a DLQ loses samples, so its digests
+        // legitimately diverge; a DLQ run whose dead-letter queue itself
+        // overflowed lost the overflowed samples (counted, never
+        // silent). Every other run must reproduce the serial reference
+        // bit for bit — including saturated --dlq runs, whose replay
+        // restores the exact stream.
+        let replay_exact = stats.dlq.as_ref().is_none_or(|d| d.overflow == 0);
+        let deterministic = stats.digests == reference;
+        if !opts.lossy || (opts.dlq && replay_exact) {
+            assert!(
+                deterministic,
+                "x{consumers} threaded run diverged from the serial reference"
+            );
+        }
+        runs.push((stats, throughput, deterministic));
     }
     if opts.lossy && !opts.dlq {
         println!("lossy run without --dlq: digest checks skipped (samples were dropped)");
     } else {
-        println!("digests match serial reference on every backend and consumer count: true");
+        println!("digests match serial reference at every consumer count: true");
     }
-
-    for &consumers in &opts.consumers {
-        if let (Some(mutex), Some(ring)) = (
-            runs.iter()
-                .find(|(b, c, ..)| *b == QueueBackend::Mutex && *c == consumers),
-            runs.iter()
-                .find(|(b, c, ..)| *b == QueueBackend::Ring && *c == consumers),
-        ) {
-            println!(
-                "  ring vs mutex @{consumers} consumers: {:.2}x obs/s",
-                ring.3 / mutex.3
-            );
-        }
-    }
-
-    // Kernel A/B cell: the same workload through the batch drain kernel
-    // and the per-sample scalar path, one consumer so the kernel (not
-    // the thread plane) dominates. Both must reproduce the serial
-    // reference; the cell records how much the batch kernel buys.
-    let kernel_cell = (!opts.lossy).then(|| {
-        let backend = *opts.backends.first().expect("at least one backend");
-        println!("kernel A/B cell ({backend}, 1 consumer)...");
-        let variant = |scalar_drain: bool| Options {
-            scalar_drain,
-            out: opts.out.clone(),
-            fleet: opts.fleet.clone(),
-            backends: opts.backends.clone(),
-            consumers: opts.consumers.clone(),
-            ..opts
-        };
-        // Alternate the two variants and keep each one's best time:
-        // back-to-back single runs confound the comparison with machine
-        // drift, which on a shared box can exceed the effect itself.
-        let mut batch_elapsed = f64::INFINITY;
-        let mut scalar_elapsed = f64::INFINITY;
-        for _ in 0..3 {
-            let batch = timed_run(&variant(false), backend, 1);
-            assert_eq!(
-                batch.digests, reference,
-                "batch-kernel run diverged from the serial reference"
-            );
-            batch_elapsed = batch_elapsed.min(batch.elapsed);
-            let scalar = timed_run(&variant(true), backend, 1);
-            assert_eq!(
-                scalar.digests, reference,
-                "scalar-drain run diverged from the serial reference"
-            );
-            scalar_elapsed = scalar_elapsed.min(scalar.elapsed);
-        }
-        let batch_rate = total as f64 / batch_elapsed;
-        let scalar_rate = total as f64 / scalar_elapsed;
-        println!(
-            "  batch kernel: {:.2} M obs/s; scalar drain: {:.2} M obs/s; \
-             speedup {:.2}x; digests identical: true",
-            batch_rate / 1e6,
-            scalar_rate / 1e6,
-            batch_rate / scalar_rate
-        );
-        serde_json::json!({
-            "queue_backend": backend.name(),
-            "consumer_threads": 1,
-            "batch_observations_per_sec": batch_rate,
-            "scalar_observations_per_sec": scalar_rate,
-            "batch_speedup": batch_rate / scalar_rate,
-            "digests_identical": true,
-        })
-    });
 
     let scrape_cell = opts.listen.map(|addr| {
         println!("scrape-under-load cell (50 ms scrape interval)...");
@@ -739,14 +641,12 @@ fn main() {
             "detector": opts.fleet.as_ref().map_or("SRAA".to_owned(), |f| f.summary()),
             "lossy_producers": opts.lossy,
             "dead_letter_queue": opts.dlq,
-            "scalar_drain": opts.scalar_drain,
         },
         "runs": runs
             .iter()
-            .map(|(backend, _, stats, throughput, deterministic)| {
+            .map(|(stats, throughput, deterministic)| {
                 let dlq = stats.dlq.as_ref();
                 serde_json::json!({
-                    "queue_backend": backend.name(),
                     "consumer_threads": stats.consumer_threads,
                     "wall_secs": stats.elapsed,
                     "observations_per_sec": throughput,
@@ -762,8 +662,7 @@ fn main() {
                 })
             })
             .collect::<Vec<_>>(),
-        "per_shard_digests": runs.first().map(|(_, _, s, _, _)| s.digests.clone()).unwrap_or_default(),
-        "kernel_cell": kernel_cell,
+        "per_shard_digests": runs.first().map(|(s, _, _)| s.digests.clone()).unwrap_or_default(),
         "scrape_cell": scrape_cell,
     });
     std::fs::write(

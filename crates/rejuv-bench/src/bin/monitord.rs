@@ -82,22 +82,10 @@
 //!                        the checkpoint already covers are skipped and
 //!                        the final report is byte-identical to an
 //!                        uninterrupted replay of the same log
-//!   --queue BACKEND      ingestion queue backend, mutex|ring|fanin
-//!                        (default mutex). Execution strategy only:
-//!                        digests, reports and replays are
-//!                        byte-identical across backends, so a log
-//!                        recorded on one can be replayed on the other
 //!   --consumers N        drain-plane worker threads (default 1).
-//!                        Execution strategy only, like --queue:
-//!                        reports, traces and checkpoints are
-//!                        byte-identical across consumer counts
-//!   --scalar-drain       debug knob: drain with the per-sample
-//!                        reference loop instead of the batch kernel
-//!                        (one detector dispatch per observation
-//!                        rather than per batch). Slower; every
-//!                        artifact — digests, traces, reports,
-//!                        checkpoints — is byte-identical either way,
-//!                        which CI checks with cmp
+//!                        Execution strategy only: reports, traces and
+//!                        checkpoints are byte-identical across
+//!                        consumer counts
 //!   --dlq                attach a per-shard dead-letter queue: lossy
 //!                        sends that find the ingestion queue full are
 //!                        captured (value and timestamp) instead of
@@ -154,8 +142,8 @@ use rejuv_ecommerce::cluster::{ClusterSystem, RoutingPolicy};
 use rejuv_ecommerce::{EcommerceSystem, SystemConfig};
 use rejuv_monitor::{
     load_snapshot, read_events_tolerant, replay_events_resumed, replay_fleet_events, save_snapshot,
-    ConsumerThread, EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats,
-    QueueBackend, SharedSupervisor, Supervisor, SupervisorConfig, SupervisorSnapshot,
+    ConsumerPool, EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats,
+    SharedSupervisor, Supervisor, SupervisorConfig, SupervisorSnapshot,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -186,9 +174,7 @@ struct Options {
     checkpoint_every_set: bool,
     checkpoint_secs: Option<f64>,
     resume: Option<PathBuf>,
-    queue: QueueBackend,
     consumers: usize,
-    scalar_drain: bool,
     dlq: bool,
     dlq_cap: usize,
     dlq_cap_set: bool,
@@ -235,9 +221,7 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
         checkpoint_every_set: false,
         checkpoint_secs: None,
         resume: None,
-        queue: QueueBackend::Mutex,
         consumers: 1,
-        scalar_drain: false,
         dlq: false,
         dlq_cap: 4096,
         dlq_cap_set: false,
@@ -298,9 +282,7 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
                     Some(parsed("--checkpoint-secs", &value("--checkpoint-secs")?)?);
             }
             "--resume" => opts.resume = Some(PathBuf::from(value("--resume")?)),
-            "--queue" => opts.queue = parsed("--queue", &value("--queue")?)?,
             "--consumers" => opts.consumers = parsed("--consumers", &value("--consumers")?)?,
-            "--scalar-drain" => opts.scalar_drain = true,
             "--dlq" => opts.dlq = true,
             "--dlq-cap" => {
                 opts.dlq_cap = parsed("--dlq-cap", &value("--dlq-cap")?)?;
@@ -502,10 +484,10 @@ fn write_report(report: &MonitorReport, path: Option<&PathBuf>) -> Result<(), St
 }
 
 /// Prints the end-of-run accounting. `stats` carries the drain-plane
-/// telemetry from [`ConsumerThread::join_stats`] when the run had a
-/// consumer pool (live mode); replay drains synchronously and passes
-/// `None`. Telemetry goes to stdout only — the report JSON stays
-/// byte-identical across backends and consumer counts, which CI checks
+/// telemetry from [`ConsumerPool::join`] when the run had a consumer
+/// pool (live mode); replay drains synchronously and passes `None`.
+/// Telemetry goes to stdout only — the report JSON stays
+/// byte-identical across consumer counts, which CI checks
 /// with `cmp`.
 fn summarize(report: &MonitorReport, stats: Option<&PoolStats>) {
     println!(
@@ -585,11 +567,7 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 queue_capacity: *queue_capacity as usize,
                 drain_batch: *drain_batch as usize,
                 snapshot_every: *snapshot_every,
-                // Backends are digest-equivalent, so replay need not run
-                // on the backend that recorded the log.
-                backend: opts.queue,
                 consumers: opts.consumers,
-                scalar_drain: opts.scalar_drain,
             };
             println!(
                 "replaying {}: {} shards, detector {}, {} events",
@@ -628,9 +606,7 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 queue_capacity: *queue_capacity as usize,
                 drain_batch: *drain_batch as usize,
                 snapshot_every: *snapshot_every,
-                backend: opts.queue,
                 consumers: opts.consumers,
-                scalar_drain: opts.scalar_drain,
             };
             println!(
                 "replaying {}: {} shards ({}), {} events",
@@ -659,9 +635,7 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
 fn run_live(opts: &Options) -> Result<(), String> {
     let config = SupervisorConfig {
         snapshot_every: opts.snapshot_every,
-        backend: opts.queue,
         consumers: opts.consumers,
-        scalar_drain: opts.scalar_drain,
         ..SupervisorConfig::default()
     };
     let fleet = load_fleet(opts)?;
@@ -743,10 +717,10 @@ fn run_live(opts: &Options) -> Result<(), String> {
 
     let host_config = SystemConfig::paper_at_load(opts.load).map_err(|e| format!("--load: {e}"))?;
     let shared = SharedSupervisor::new(supervisor);
-    // The bridges feed decisions back synchronously; the consumer thread
+    // The bridges feed decisions back synchronously; the consumer pool
     // coexists to drain anything pushed through decoupled senders and
     // parks (zero CPU) whenever every queue is empty.
-    let consumer = ConsumerThread::spawn_shared(&shared);
+    let consumer = ConsumerPool::spawn_shared(&shared);
 
     // Live scrape endpoint. The responder thread holds its own handle on
     // the shared supervisor and renders every scrape from pure read-only
@@ -784,8 +758,8 @@ fn run_live(opts: &Options) -> Result<(), String> {
 
     println!(
         "live run: {} host(s), load {} CPUs, {} transactions, detector {}, seed {}, \
-         queue {}, {} consumer(s)",
-        hosts, opts.load, opts.transactions, detector_name, opts.seed, opts.queue, opts.consumers
+         {} consumer(s)",
+        hosts, opts.load, opts.transactions, detector_name, opts.seed, opts.consumers
     );
 
     if hosts == 1 {
@@ -863,9 +837,10 @@ fn run_live(opts: &Options) -> Result<(), String> {
         println!("metrics: served {scrapes} scrape(s)");
     }
 
-    let (_, stats) = consumer
-        .join_stats()
-        .map_err(|e| format!("consumer drain failed: {e}"))?;
+    let stats = consumer
+        .join()
+        .map_err(|e| format!("consumer drain failed: {e}"))?
+        .stats;
     let mut supervisor = shared
         .try_into_inner()
         .expect("all bridges dropped with the system");

@@ -252,6 +252,8 @@ fn expect_failure(args: &[&str], code: i32, needle: &str) {
 #[test]
 fn monitord_rejects_unknown_flags_without_a_backtrace() {
     expect_failure(&["--bogus"], 2, "unknown option --bogus");
+    expect_failure(&["--queue", "mutex"], 2, "unknown option --queue");
+    expect_failure(&["--scalar-drain"], 2, "unknown option --scalar-drain");
 }
 
 #[test]
@@ -262,7 +264,6 @@ fn monitord_rejects_unparsable_values_without_a_backtrace() {
         "invalid value \"banana\" for --hosts",
     );
     expect_failure(&["--load", "many"], 2, "invalid value \"many\" for --load");
-    expect_failure(&["--queue", "bogus"], 2, "--queue");
 }
 
 #[test]
@@ -304,6 +305,43 @@ fn monitord_reports_a_torn_resume_checkpoint_cleanly() {
         1,
         "cannot open",
     );
+}
+
+// A tampered or foreign event log is a runtime failure: replay must
+// reject it with one diagnostic line, never panic or report success.
+#[test]
+fn monitord_rejects_a_malformed_replay_log_cleanly() {
+    let out = tempdir("monitord-bad-log");
+    let header = r#"{"Start":{"shards":2,"detector":"SRAA","queue_capacity":4,"drain_batch":4,"snapshot_every":null}}"#;
+    let cases = [
+        (
+            r#"{"Batch":{"shard":7,"seq":0,"values":[4.0]}}"#,
+            "shard 7 of a 2-shard fleet",
+        ),
+        (
+            r#"{"Batch":{"shard":0,"seq":0,"values":[1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0]}}"#,
+            "holds 10 values",
+        ),
+        (
+            r#"{"Batch":{"shard":0,"seq":18446744073709551615,"values":[4.0,5.0]}}"#,
+            "overflows",
+        ),
+        (
+            r#"{"TimedBatch":{"shard":1,"seq":0,"values":[4.0,5.0],"times":[0.5]}}"#,
+            "1 times for 2 values",
+        ),
+    ];
+    for (i, (line, needle)) in cases.iter().enumerate() {
+        let log = Path::new(&out).join(format!("bad{i}.jsonl"));
+        std::fs::write(&log, format!("{header}\n{line}\n")).unwrap();
+        expect_failure(&["--replay", log.to_str().unwrap()], 1, needle);
+        let output = Command::new(monitord_bin())
+            .args(["--replay", log.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one diagnostic line:\n{stderr}");
+    }
 }
 
 // Without the failpoints feature the --dst surface must fail fast with
@@ -451,8 +489,6 @@ fn bench_monitor_reports_an_unbindable_listen_address_cleanly() {
             "1",
             "--observations",
             "100",
-            "--queue",
-            "mutex",
             "--consumers",
             "1",
             "--listen",

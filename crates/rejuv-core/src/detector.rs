@@ -55,8 +55,8 @@ pub trait RejuvenationDetector: Send {
     /// fired sequence numbers must be exactly what the same stream fed
     /// through [`observe`] one value at a time would produce — including
     /// bitwise-identical floating-point state, which is what keeps the
-    /// monitoring plane's decision digests stable when the drain path
-    /// switches between the scalar and batch kernels. The default
+    /// monitoring plane's decision digests the same whether a detector
+    /// runs a batch kernel or the per-sample loop. The default
     /// implementation *is* the per-sample loop, so external
     /// implementations inherit correct (if unaccelerated) behaviour;
     /// the in-crate detectors override it with kernels that hoist

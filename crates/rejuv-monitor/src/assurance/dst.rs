@@ -18,11 +18,10 @@
 //!    to the four oracles in [`crate::assurance::oracle`].
 //!
 //! Three workload shapes cover the whole [`CATALOG`]: a synchronous
-//! single-consumer run per queue backend (checkpoint pipeline, push/
-//! drain/unpark sites), a multi-consumer work-stealing pool run
-//! (notify, park, steal, gated checkpoint, shutdown sweep, join), and
-//! a back-pressure run per backend (producer park sites, via a full
-//! queue with a blocking producer).
+//! single-consumer run (checkpoint pipeline, push/drain/unpark sites),
+//! a multi-consumer work-stealing pool run (notify, park, steal, gated
+//! checkpoint, shutdown sweep, join), and a back-pressure run (producer
+//! park sites, via a full queue with a blocking producer).
 //!
 //! Everything is derived from the trace's seed — no wall clock, no
 //! process entropy — so a failing `(scenario, site, seed)` triple
@@ -35,9 +34,9 @@ use crate::assurance::oracle::{
     check_g4_rejection_is_pure, Violation,
 };
 use crate::checkpoint::save_snapshot;
-use crate::consumer::ConsumerThread;
 use crate::event::{read_events_tolerant, EventLog, MonitorEvent};
-use crate::queue::{ObsQueue, QueueBackend};
+use crate::pool::ConsumerPool;
+use crate::queue::ObsQueue;
 use crate::supervisor::{MonitorReport, Supervisor, SupervisorConfig, SupervisorSnapshot};
 use rand::Rng;
 use rejuv_core::{DetectorKind, DetectorSpec};
@@ -115,39 +114,31 @@ impl Write for TrackedWriter {
 /// Parking slot for the pool scenario's consumer handle: the driver
 /// thread may crash mid-run, and whoever catches the unwind must still
 /// be able to shut the worker threads down instead of leaking them.
-type ConsumerSlot = Arc<Mutex<Option<ConsumerThread>>>;
+type ConsumerSlot = Arc<Mutex<Option<ConsumerPool>>>;
 
 /// One deterministic workload shape; between them the three shapes hit
 /// every site in the [`CATALOG`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
-    /// Synchronous ingest/poll fleet on one backend. Every checkpoint
-    /// is quiescent, so G2 is checked at byte identity.
-    Single(QueueBackend),
+    /// Synchronous ingest/poll fleet. Every checkpoint is quiescent,
+    /// so G2 is checked at byte identity.
+    Single,
     /// Multi-consumer work-stealing pool with preloaded backlogs (for
     /// deterministic steals) and lossy-but-loss-free producers.
     Pool,
     /// A short `Single`-style run for artifacts, then a full queue with
     /// a blocking producer to reach the producer park sites.
-    Backpressure(QueueBackend),
+    Backpressure,
 }
 
-const SCENARIOS: &[Scenario] = &[
-    Scenario::Single(QueueBackend::Mutex),
-    Scenario::Single(QueueBackend::Ring),
-    Scenario::Single(QueueBackend::FanIn),
-    Scenario::Pool,
-    Scenario::Backpressure(QueueBackend::Mutex),
-    Scenario::Backpressure(QueueBackend::Ring),
-    Scenario::Backpressure(QueueBackend::FanIn),
-];
+const SCENARIOS: &[Scenario] = &[Scenario::Single, Scenario::Pool, Scenario::Backpressure];
 
 impl Scenario {
-    fn name(self) -> String {
+    fn name(self) -> &'static str {
         match self {
-            Scenario::Single(b) => format!("single-{}", b.name()),
-            Scenario::Pool => "pool".to_owned(),
-            Scenario::Backpressure(b) => format!("backpressure-{}", b.name()),
+            Scenario::Single => "single",
+            Scenario::Pool => "pool",
+            Scenario::Backpressure => "backpressure",
         }
     }
 
@@ -155,7 +146,7 @@ impl Scenario {
     /// state-swap corruption is guaranteed to be rejectable.
     fn specs(self) -> Vec<DetectorSpec> {
         match self {
-            Scenario::Single(_) => vec![
+            Scenario::Single => vec![
                 DetectorSpec::with_baseline(DetectorKind::Sraa, 5.0, 5.0),
                 DetectorSpec::with_baseline(DetectorKind::Cusum, 5.0, 5.0),
                 DetectorSpec::with_baseline(DetectorKind::Saraa, 5.0, 5.0),
@@ -166,7 +157,7 @@ impl Scenario {
                 DetectorSpec::with_baseline(DetectorKind::Saraa, 5.0, 5.0),
                 DetectorSpec::with_baseline(DetectorKind::Sraa, 6.0, 4.0),
             ],
-            Scenario::Backpressure(_) => vec![
+            Scenario::Backpressure => vec![
                 DetectorSpec::with_baseline(DetectorKind::Sraa, 5.0, 5.0),
                 DetectorSpec::with_baseline(DetectorKind::Cusum, 5.0, 5.0),
             ],
@@ -175,29 +166,17 @@ impl Scenario {
 
     fn config(self) -> SupervisorConfig {
         match self {
-            Scenario::Single(backend) => SupervisorConfig {
+            Scenario::Single | Scenario::Backpressure => SupervisorConfig {
                 queue_capacity: 64,
                 drain_batch: 8,
                 snapshot_every: Some(40),
-                backend,
                 consumers: 1,
-                scalar_drain: false,
             },
             Scenario::Pool => SupervisorConfig {
                 queue_capacity: 4_096,
                 drain_batch: 32,
                 snapshot_every: None,
-                backend: QueueBackend::Mutex,
                 consumers: 2,
-                scalar_drain: false,
-            },
-            Scenario::Backpressure(backend) => SupervisorConfig {
-                queue_capacity: 64,
-                drain_batch: 8,
-                snapshot_every: Some(40),
-                backend,
-                consumers: 1,
-                scalar_drain: false,
             },
         }
     }
@@ -205,17 +184,17 @@ impl Scenario {
     /// Checkpoint cadence (total processed observations).
     fn checkpoint_every(self) -> u64 {
         match self {
-            Scenario::Single(_) => 50,
+            Scenario::Single => 50,
             Scenario::Pool => 500,
-            Scenario::Backpressure(_) => 60,
+            Scenario::Backpressure => 60,
         }
     }
 
     fn steps(self) -> u64 {
         match self {
-            Scenario::Single(_) => 1_200,
+            Scenario::Single => 1_200,
             Scenario::Pool => 0, // producer-driven, see run_pool
-            Scenario::Backpressure(_) => 300,
+            Scenario::Backpressure => 300,
         }
     }
 
@@ -231,11 +210,11 @@ impl Scenario {
         slot: &ConsumerSlot,
     ) -> io::Result<MonitorReport> {
         match self {
-            Scenario::Single(_) => self.run_sync(seed, dir, writer),
+            Scenario::Single => self.run_sync(seed, dir, writer),
             Scenario::Pool => self.run_pool(seed, dir, writer, slot),
-            Scenario::Backpressure(backend) => {
+            Scenario::Backpressure => {
                 let report = self.run_sync(seed, dir, writer)?;
-                run_backpressure_probe(backend);
+                run_backpressure_probe();
                 Ok(report)
             }
         }
@@ -330,7 +309,7 @@ impl Scenario {
                 debug_assert!(accepted, "pool workload stays under capacity");
             }
         }
-        let consumer = ConsumerThread::spawn(sup);
+        let consumer = ConsumerPool::spawn(sup);
         *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(consumer);
         // A second, concurrent wave from real producer threads (1000
         // more per shard, still under capacity even unconsumed).
@@ -369,19 +348,21 @@ impl Scenario {
             .unwrap_or_else(|e| e.into_inner())
             .take()
             .expect("consumer parked in the slot above");
-        let (sup, _stats) = consumer.join_stats()?;
-        let mut sup = sup.expect("owned pool returns its supervisor");
+        let mut sup = consumer
+            .join()?
+            .supervisor
+            .expect("owned pool returns its supervisor");
         sup.checkpoint_now()?;
         Ok(sup.report())
     }
 }
 
 /// Fills a standalone queue to capacity and parks a producer on it:
-/// the only way to reach the `queue.*.park` sites. The consumer side
-/// (this thread) then drains, waking the producer through the
-/// wake-parked-producer handshake.
-fn run_backpressure_probe(backend: QueueBackend) {
-    let queue = Arc::new(ObsQueue::with_backend(4, backend));
+/// the only way to reach the `queue.mutex.park` site. The consumer side
+/// (this thread) then drains, waking the producer through the space
+/// condvar.
+fn run_backpressure_probe() {
+    let queue = Arc::new(ObsQueue::bounded(4));
     for i in 0..4 {
         let accepted = queue.push(5.0 + f64::from(i));
         debug_assert!(accepted, "fill fits exactly");
@@ -701,7 +682,7 @@ fn crash_trace(
 /// the cascade panics its dead workers cause.
 fn cleanup_consumer(slot: &ConsumerSlot) {
     if let Some(consumer) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        let _ = panic::catch_unwind(AssertUnwindSafe(move || consumer.join_stats()));
+        let _ = panic::catch_unwind(AssertUnwindSafe(move || consumer.join()));
     }
 }
 
@@ -860,7 +841,7 @@ mod tests {
 
     #[test]
     fn corruptions_are_rejected_by_restore() {
-        let scenario = Scenario::Single(QueueBackend::Mutex);
+        let scenario = Scenario::Single;
         let mut sup = Supervisor::with_specs(scenario.config(), &scenario.specs()).unwrap();
         for i in 0..120u64 {
             sup.process_sync((i % 3) as usize, 4.0).unwrap();

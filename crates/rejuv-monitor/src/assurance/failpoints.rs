@@ -39,30 +39,19 @@ pub const CATALOG: &[&str] = &[
     "supervisor.drain-applied",
     "supervisor.checkpoint-flush",
     "supervisor.checkpoint-emit",
-    // queue.rs — the consumer wakeup handshake (all backends share it).
+    // queue.rs — the consumer wakeup handshake.
     "queue.notify-work",
     "queue.wait-park",
-    // queue.rs — mutex backend.
+    // queue.rs — the mutex ring.
     "queue.mutex.push",
     "queue.mutex.park",
     "queue.mutex.drain",
     "queue.mutex.unpark",
-    // queue.rs — lock-free SPSC ring backend.
-    "queue.ring.push",
-    "queue.ring.park",
-    "queue.ring.drain",
-    "queue.ring.unpark",
-    // queue.rs — multi-producer fan-in backend.
-    "queue.fanin.publish",
-    "queue.fanin.park",
-    "queue.fanin.drain",
-    "queue.fanin.unpark",
     // pool.rs — the work-stealing drain plane.
     "pool.drain-slot",
     "pool.steal-claimed",
     "pool.checkpoint-gate",
     "pool.shutdown-sweep",
-    // consumer.rs — the spawn/join façade.
     "consumer.join",
 ];
 

@@ -5,7 +5,7 @@
 //! observation streams the way a field deployment would:
 //!
 //! * [`supervisor::Supervisor`] — N independent monitored *shards*
-//!   (e.g. one per cluster host), each a bounded SPSC ingestion queue
+//!   (e.g. one per cluster host), each a bounded ingestion queue
 //!   ([`queue::ObsQueue`]) draining in batches through a boxed
 //!   [`rejuv_core::RejuvenationDetector`], with back-pressure accounting
 //!   so overload drops samples instead of blocking the source,
@@ -17,8 +17,8 @@
 //!   (write-temp-then-rename) so a crash never tears the file, and
 //!   [`replay_events_resumed`] continues a recorded run from a
 //!   checkpoint with byte-identical reports,
-//! * [`consumer::ConsumerThread`] / [`pool::ConsumerPool`] — the drain
-//!   plane: `SupervisorConfig::consumers` worker threads with static
+//! * [`pool::ConsumerPool`] — the drain plane:
+//!   `SupervisorConfig::consumers` worker threads with static
 //!   whole-shard ownership plus bounded work-stealing through an atomic
 //!   claim table, each *parking* on a condvar whenever its queues are
 //!   empty (zero idle CPU). Consumer count is a pure execution-strategy
@@ -77,7 +77,6 @@ pub mod assurance;
 pub mod bridge;
 pub mod bus;
 pub mod checkpoint;
-pub mod consumer;
 pub mod dlq;
 pub mod event;
 pub mod expo;
@@ -91,7 +90,6 @@ pub mod supervisor;
 pub use bridge::{MonitorBridge, SharedSupervisor};
 pub use bus::{BusSubscription, EventBus, OpEvent};
 pub use checkpoint::{load_snapshot, save_snapshot};
-pub use consumer::ConsumerThread;
 pub use dlq::{DeadLetterQueue, DlqStats};
 pub use event::{read_events, read_events_tolerant, EventLog, MonitorEvent, SharedBuffer};
 pub use expo::{DrainPlane, ExpoSnapshot, ShardRuntime};
@@ -99,7 +97,7 @@ pub use fleet::{FleetConfig, FleetError};
 pub use http::MetricsServer;
 pub use metrics::{Histogram, MetricsRegistry, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
-pub use queue::{ObsQueue, QueueBackend, Wakeup, WorkNotifier};
+pub use queue::{ObsQueue, Wakeup, WorkNotifier};
 pub use supervisor::{
     CheckpointClock, CheckpointSink, DetectorKindReport, DlqSnapshot, MonitorReport, ReloadError,
     RestoreError, ShardReport, ShardSender, ShardSnapshot, Supervisor, SupervisorConfig,
@@ -123,8 +121,13 @@ use std::io;
 ///
 /// # Errors
 ///
-/// Propagates event-log write failures from the replaying supervisor
-/// (only possible if a log was attached to it beforehand).
+/// `InvalidData` for a malformed log, before the offending batch
+/// touches its shard: a batch naming a shard outside the fleet, a
+/// `TimedBatch` whose `times` and `values` differ in length, a `seq`
+/// whose batch overflows `u64`, or a batch larger than the shard's
+/// queue (which a live run could never have drained in one piece).
+/// Otherwise propagates event-log write failures from the replaying
+/// supervisor (only possible if a log was attached to it beforehand).
 pub fn replay_events<F>(
     events: &[MonitorEvent],
     config: SupervisorConfig,
@@ -215,20 +218,57 @@ fn replay_into(
             } => (*shard as usize, *seq, values, Some(times)),
             _ => continue,
         };
-        let done = covered.get(shard).copied().unwrap_or(0);
-        if seq + values.len() as u64 <= done {
+        // Validate the whole batch before touching its shard: a foreign
+        // or tampered log is rejected, never half-applied.
+        if shard >= shards {
+            return Err(invalid_log(format!(
+                "batch names shard {shard} of a {shards}-shard fleet"
+            )));
+        }
+        if times.is_some_and(|t| t.len() != values.len()) {
+            return Err(invalid_log(format!(
+                "shard {shard} batch at seq {seq} carries {} times for {} values",
+                times.map_or(0, Vec::len),
+                values.len()
+            )));
+        }
+        let end = seq.checked_add(values.len() as u64).ok_or_else(|| {
+            invalid_log(format!(
+                "shard {shard} batch at seq {seq} overflows the sequence space"
+            ))
+        })?;
+        let done = covered[shard];
+        if end <= done {
             continue; // the checkpoint already covers this batch
         }
         let offset = done.saturating_sub(seq) as usize;
+        let queue = supervisor.queue(shard);
+        let free = queue.capacity() - queue.len();
+        if values.len() - offset > free {
+            return Err(invalid_log(format!(
+                "shard {shard} batch at seq {seq} holds {} values but the queue has room for {free}",
+                values.len() - offset
+            )));
+        }
         for (i, &value) in values.iter().enumerate().skip(offset) {
-            match times.and_then(|t| t.get(i)).copied() {
+            let accepted = match times.map(|t| t[i]) {
                 Some(at) if at.is_finite() => supervisor.ingest_at(shard, value, at),
                 _ => supervisor.ingest(shard, value),
             };
+            if !accepted {
+                return Err(invalid_log(format!(
+                    "shard {shard} queue rejected value {} of the batch at seq {seq}",
+                    i - offset
+                )));
+            }
         }
         while supervisor.poll_shard(shard)? > 0 {}
     }
     Ok(supervisor)
+}
+
+fn invalid_log(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -293,5 +333,67 @@ mod tests {
             serde_json::to_string(&live_report).unwrap(),
             serde_json::to_string(&replay_report).unwrap()
         );
+    }
+
+    fn replay_err(events: &[MonitorEvent], config: SupervisorConfig) -> io::Error {
+        match replay_events(events, config, 2, |_| detector()) {
+            Ok(_) => panic!("a malformed log must not replay"),
+            Err(e) => e,
+        }
+    }
+
+    fn batch(shard: u32, seq: u64, len: usize) -> MonitorEvent {
+        MonitorEvent::Batch {
+            shard,
+            seq,
+            values: vec![4.0; len],
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_shard_outside_the_fleet() {
+        let err = replay_err(
+            &[batch(0, 0, 3), batch(7, 0, 3)],
+            SupervisorConfig::default(),
+        );
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("shard 7 of a 2-shard fleet"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_batch_larger_than_the_queue() {
+        let config = SupervisorConfig {
+            queue_capacity: 4,
+            ..SupervisorConfig::default()
+        };
+        let err = replay_err(&[batch(1, 0, 10)], config);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("holds 10 values"), "{err}");
+        // A batch that fits the same queue replays with nothing dropped.
+        let ok = replay_events(&[batch(1, 0, 4)], config, 2, |_| detector()).unwrap();
+        assert_eq!((ok.processed(1), ok.report().total_dropped), (4, 0));
+    }
+
+    #[test]
+    fn replay_rejects_an_overflowing_sequence_number() {
+        let err = replay_err(&[batch(0, u64::MAX - 1, 3)], SupervisorConfig::default());
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_mismatched_times() {
+        let event = MonitorEvent::TimedBatch {
+            shard: 0,
+            seq: 0,
+            values: vec![4.0, 5.0, 6.0],
+            times: vec![0.5, 1.0],
+        };
+        let err = replay_err(&[event], SupervisorConfig::default());
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("2 times for 3 values"), "{err}");
     }
 }

@@ -576,6 +576,7 @@ impl ConsumerPool {
     ///
     /// Panics if a worker thread itself panicked.
     pub fn join(self) -> io::Result<PoolJoin> {
+        fp!("consumer.join");
         match self.mode {
             Mode::Owned { shared, handles } => {
                 for notifier in &shared.notifiers {
@@ -834,6 +835,23 @@ mod tests {
         assert_eq!(sender.backlog(), 0, "the wakeup drained the push");
         let joined = pool.join().unwrap();
         assert_eq!(joined.supervisor.unwrap().processed(1), 1);
+    }
+
+    #[test]
+    fn shared_pool_coexists_with_bridges() {
+        let supervisor = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| sraa());
+        let shared = SharedSupervisor::new(supervisor);
+        let pool = ConsumerPool::spawn_shared(&shared);
+        let mut bridge = shared.bridge(0);
+        let sender = shared.with(|s| s.sender(1));
+        for i in 0..200 {
+            bridge.observe(4.0 + (i % 3) as f64);
+            sender.send(5.0);
+        }
+        assert!(pool.join().unwrap().supervisor.is_none(), "shared flavour");
+        let report = shared.report();
+        assert_eq!(report.shards[0].processed, 200, "bridge path");
+        assert_eq!(report.shards[1].processed, 200, "sender path drained");
     }
 
     #[test]

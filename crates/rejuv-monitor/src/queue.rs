@@ -1,4 +1,4 @@
-//! Bounded single-producer/single-consumer observation queues.
+//! Bounded observation queues.
 //!
 //! Each supervisor shard owns one [`ObsQueue`]: the producer side (a
 //! simulation feed, an instrumented request path) pushes raw samples,
@@ -13,75 +13,33 @@
 //! inter-observation latency histograms; they never enter decision
 //! digests.
 //!
+//! The queue is a mutex-guarded ring buffer (a preallocated
+//! `VecDeque`). Batched pushes ([`ObsQueue::push_batch`]) and batched
+//! drains ([`ObsQueue::drain_into`]) each take the lock once, which
+//! amortises it to a few nanoseconds per sample. Any number of threads
+//! may push and drain concurrently; every operation is linearised by
+//! the lock, so the drained sequence is the push order.
+//!
 //! Blocking producers ([`ObsQueue::push_blocking`]) spin a bounded
 //! number of times, then *park* on a condvar until the consumer frees
 //! space — a stalled consumer costs a wait counter increment, not a
 //! pegged core. Symmetrically, a [`WorkNotifier`] can be attached so an
 //! empty→non-empty transition wakes a parked consumer thread (see
-//! [`crate::consumer::ConsumerThread`]): between batches, neither side
-//! burns CPU. When the drain plane exits it calls
-//! [`ObsQueue::shutdown`], which wakes any still-parked producer so a
-//! blocking push never sleeps forever on space that cannot free.
+//! [`crate::pool::ConsumerPool`]): between batches, neither side burns
+//! CPU. When the drain plane exits it calls [`ObsQueue::shutdown`],
+//! which wakes any still-parked producer so a blocking push never
+//! sleeps forever on space that cannot free.
 //!
 //! Lossy pushes need not mean lost samples: attaching a
 //! [`DeadLetterQueue`](crate::dlq::DeadLetterQueue) (see
 //! [`crate::supervisor::Supervisor::enable_dlq`]) diverts what a full
 //! queue would drop into a bounded side buffer, replayed in FIFO order
 //! by the drain path once back-pressure clears.
-//!
-//! Three interchangeable backends implement the contract, selected by
-//! [`QueueBackend`]:
-//!
-//! * **Mutex** — a mutex-guarded ring buffer. Batched drains amortise
-//!   the lock; simple, and the reference for conformance tests.
-//! * **Ring** — a lock-free Vyukov-style SPSC ring in *safe* Rust: the
-//!   payload lives in per-slot atomics (`f64`s bit-packed into
-//!   `AtomicU64`), so no `unsafe` cell tricks are needed. The fast path
-//!   performs no lock acquisitions and no read-modify-write beyond one
-//!   relaxed counter; batched pushes ([`ObsQueue::push_batch`]) publish
-//!   one tail update per batch.
-//! * **FanIn** — a multi-producer fan-in over per-producer SPSC lanes:
-//!   each producer thread claims a private Vyukov lane (the same
-//!   zero-`unsafe` bit-packed design as the ring) and stamps every
-//!   sample with a global ticket; the single consumer merges lanes by
-//!   popping strictly in ticket order, so the drained sequence is a
-//!   deterministic total order even with many concurrent producers.
-//!   Capacity is enforced globally with one CAS-bounded counter, so
-//!   back-pressure accounting matches the other backends exactly.
-//!
-//! All backends drain in FIFO order (per producer) and account
-//! identically (`accepted`/`dropped`/`waits`), so decision digests,
-//! reports and replays are bitwise identical regardless of backend — a
-//! property the conformance suite in `tests/proptest_queue.rs` pins
-//! down.
-//!
-//! # Why the lock-free ring needs no `unsafe`
-//!
-//! The classic obstacle is publishing a non-atomic payload across
-//! threads, which demands `UnsafeCell` + raw pointers. Here the payload
-//! is two `f64`s: each fits an `AtomicU64` via `to_bits`/`from_bits`,
-//! so every slot is `{seq: AtomicUsize, value: AtomicU64, at:
-//! AtomicU64}` and plain atomic stores/loads move the data. Ordering:
-//! the producer writes `value`/`at` with `Relaxed` stores, then
-//! publishes the slot with a `Release` store of `seq = pos + 1`; the
-//! consumer `Acquire`-loads `seq`, and on a match the release/acquire
-//! edge makes the payload stores visible. Freeing runs the same
-//! protocol in reverse: the consumer reads the payload, then
-//! `Release`-stores `seq = pos + slots` (the free marker for the next
-//! lap) and finally publishes `head` with a `Release` store; the
-//! producer's `Acquire` reload of `head` (capacity check) orders every
-//! consumer read before any slot reuse. Sleep/wake transitions
-//! (empty→non-empty consumer wakeups, full→space producer wakeups) are
-//! the one place release/acquire is not enough — both sides face the
-//! store-buffering pattern ("I published, did the other side see it
-//! before deciding to sleep?") — so those paths add `SeqCst` fences;
-//! see `maybe_notify` / `wake_parked_producer`.
 
 use crate::assurance::failpoints::fp;
 use crate::dlq::DeadLetterQueue;
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Timestamp marker for samples that carry no timestamp.
@@ -91,62 +49,6 @@ pub(crate) const UNTIMED: f64 = f64::NAN;
 /// the space condvar. Short stalls resolve without a park; long stalls
 /// sleep instead of spinning.
 const BLOCKING_SPIN_LIMIT: u32 = 64;
-
-/// Which [`ObsQueue`] implementation a supervisor shard uses.
-///
-/// All backends implement the same bounded-queue contract and produce
-/// bitwise-identical digests, reports and replays; they differ only in
-/// how the producers and consumer synchronise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum QueueBackend {
-    /// Mutex-guarded ring buffer (the default): one lock acquisition
-    /// per push and per drained batch.
-    #[default]
-    Mutex,
-    /// Lock-free Vyukov-style SPSC ring (safe Rust, bit-packed atomic
-    /// slots): no locks on the fast path, condvars only for idle
-    /// parking. Requires the SPSC contract — at most one thread pushing
-    /// and one draining at any instant (external serialisation, e.g.
-    /// the `SharedSupervisor` lock, also satisfies it).
-    Ring,
-    /// Multi-producer fan-in over per-producer SPSC lanes, merged
-    /// deterministically at drain by per-sample ticket stamps. Producers
-    /// stop contending on one mutex; the consumer side still requires
-    /// external serialisation (at most one thread draining at any
-    /// instant). Trades memory for lane isolation: each of its lanes is
-    /// sized to the full logical capacity.
-    FanIn,
-}
-
-impl QueueBackend {
-    /// The CLI/config name of the backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Mutex => "mutex",
-            QueueBackend::Ring => "ring",
-            QueueBackend::FanIn => "fanin",
-        }
-    }
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_lowercase().as_str() {
-            "mutex" => Ok(QueueBackend::Mutex),
-            "ring" => Ok(QueueBackend::Ring),
-            "fanin" => Ok(QueueBackend::FanIn),
-            other => Err(format!("unknown queue backend {other} (mutex|ring|fanin)")),
-        }
-    }
-}
 
 /// Wakes a parked consumer when any of its queues gains work.
 ///
@@ -230,9 +132,8 @@ impl WorkNotifier {
     }
 }
 
-/// Lifetime accounting shared by all backends. All counters are
-/// updated with relaxed atomics — they are telemetry, not
-/// synchronisation.
+/// Lifetime accounting of one queue. All counters are updated with
+/// relaxed atomics — they are telemetry, not synchronisation.
 #[derive(Debug, Default)]
 struct Counters {
     /// Samples accepted over the queue's lifetime.
@@ -243,33 +144,8 @@ struct Counters {
     waits: AtomicU64,
 }
 
-/// Consumer wakeup hook shared by all backends; set once a consumer
-/// thread attaches. The `attached` flag lets the ring's push fast path
-/// skip the option lock entirely when no consumer thread exists.
-#[derive(Debug, Default)]
-struct NotifierSlot {
-    hook: Mutex<Option<Arc<WorkNotifier>>>,
-    attached: AtomicBool,
-}
-
-impl NotifierSlot {
-    fn attach(&self, notifier: Arc<WorkNotifier>) {
-        *self.hook.lock().expect("notifier slot poisoned") = Some(notifier);
-        self.attached.store(true, Ordering::Release);
-    }
-
-    fn notify(&self) {
-        if let Some(n) = self.hook.lock().expect("notifier slot poisoned").as_ref() {
-            n.notify_work();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mutex backend
-// ---------------------------------------------------------------------
-
-struct MutexInner {
+/// The state every clone of an [`ObsQueue`] shares.
+struct Inner {
     buf: Mutex<VecDeque<(f64, f64)>>,
     /// Producers in `push_blocking` park here when the queue is full;
     /// `drain_into` notifies after freeing space.
@@ -280,16 +156,17 @@ struct MutexInner {
     /// instead of contending on the queue lock.
     occupancy: AtomicUsize,
     counters: Counters,
-    notifier: NotifierSlot,
+    /// Consumer wakeup hook, set once a consumer thread attaches.
+    notifier: Mutex<Option<Arc<WorkNotifier>>>,
     /// Sticky shutdown flag: once set, parked producers wake and return
     /// short instead of sleeping on space that will never free (the
     /// drain plane is gone). See [`ObsQueue::shutdown`].
     shutdown: AtomicBool,
 }
 
-impl MutexInner {
+impl Inner {
     fn new(capacity: usize) -> Self {
-        MutexInner {
+        Inner {
             // Preallocate the full bound: a bounded queue will reach
             // exactly this length under back-pressure, so reserving it
             // up front trades transient memory for never reallocating
@@ -299,8 +176,19 @@ impl MutexInner {
             capacity,
             occupancy: AtomicUsize::new(0),
             counters: Counters::default(),
-            notifier: NotifierSlot::default(),
+            notifier: Mutex::new(None),
             shutdown: AtomicBool::new(false),
+        }
+    }
+
+    fn notify(&self) {
+        if let Some(n) = self
+            .notifier
+            .lock()
+            .expect("notifier slot poisoned")
+            .as_ref()
+        {
+            n.notify_work();
         }
     }
 
@@ -318,7 +206,7 @@ impl MutexInner {
         drop(buf);
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         if was_empty {
-            self.notifier.notify();
+            self.notify();
         }
         true
     }
@@ -340,7 +228,7 @@ impl MutexInner {
             .accepted
             .fetch_add(take as u64, Ordering::Relaxed);
         if was_empty {
-            self.notifier.notify();
+            self.notify();
         }
         take
     }
@@ -376,7 +264,7 @@ impl MutexInner {
         drop(buf);
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         if was_empty {
-            self.notifier.notify();
+            self.notify();
         }
         true
     }
@@ -432,734 +320,13 @@ impl MutexInner {
     }
 }
 
-// ---------------------------------------------------------------------
-// Lock-free ring backend
-// ---------------------------------------------------------------------
-
-/// Pads a hot field to its own cache line so the producer- and
-/// consumer-owned cursors never false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct CacheLine<T>(T);
-
-/// One ring slot. `seq` is the Vyukov sequence word: it equals the slot
-/// position when the slot is free for that lap, position + 1 once the
-/// payload is published, and advances by the slot count when freed for
-/// the next lap. `value`/`at` carry the `f64` payload bit-packed, which
-/// is what lets the whole ring stay in safe Rust.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicUsize,
-    value: AtomicU64,
-    at: AtomicU64,
-}
-
-/// Producer-owned hot state (one cache line).
-#[derive(Debug, Default)]
-struct ProducerSide {
-    /// Next position to write. Only the producer stores it; consumers
-    /// and observers read it for `len()`.
-    tail: AtomicUsize,
-    /// Producer-local cache of the consumer's `head`, refreshed (with
-    /// `Acquire`) only when the ring looks full — the Lamport trick
-    /// that keeps steady-state pushes from touching the consumer's
-    /// cache line at all.
-    head_cache: AtomicUsize,
-}
-
-struct RingInner {
-    slots: Box<[Slot]>,
-    /// `slots.len() - 1`; the slot count is a power of two so `pos &
-    /// mask` indexes correctly even across position wrap-around.
-    mask: usize,
-    /// The logical bound. May be below the physical slot count (which
-    /// is rounded up to a power of two); fullness is enforced against
-    /// this, so both backends drop at exactly the same occupancy.
-    capacity: usize,
-    prod: CacheLine<ProducerSide>,
-    /// Next position to read; only the consumer stores it.
-    head: CacheLine<AtomicUsize>,
-    /// Blocking producers park here when the ring is full; guards no
-    /// data, only the sleep/wake handshake.
-    space_lock: Mutex<()>,
-    space: Condvar,
-    /// Set (SeqCst) by a producer about to park; checked by the
-    /// consumer after freeing space. See `wake_parked_producer`.
-    producer_parked: AtomicBool,
-    /// Sticky shutdown flag; see [`ObsQueue::shutdown`].
-    shutdown: AtomicBool,
-    counters: Counters,
-    notifier: NotifierSlot,
-}
-
-impl RingInner {
-    fn new(capacity: usize) -> Self {
-        let slot_count = capacity.next_power_of_two();
-        let slots: Box<[Slot]> = (0..slot_count)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: AtomicU64::new(0),
-                at: AtomicU64::new(0),
-            })
-            .collect();
-        RingInner {
-            slots,
-            mask: slot_count - 1,
-            capacity,
-            prod: CacheLine(ProducerSide::default()),
-            head: CacheLine(AtomicUsize::new(0)),
-            space_lock: Mutex::new(()),
-            space: Condvar::new(),
-            producer_parked: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            notifier: NotifierSlot::default(),
-        }
-    }
-
-    /// How many of the `want` samples the producer may write at `pos`
-    /// right now. Answers from the cached head whenever it already
-    /// proves enough room, and only then reloads the consumer's `head`
-    /// (with `Acquire`, which also orders the consumer's slot reads
-    /// before any reuse) — the Lamport trick that keeps steady-state
-    /// pushes off the consumer's cache line. Refreshing whenever the
-    /// cached view is merely *insufficient* (not just full) matters for
-    /// conformance: a stale cache must never make the ring drop samples
-    /// the mutex backend would accept.
-    fn space_for(&self, pos: usize, want: usize) -> usize {
-        let cached = self.prod.0.head_cache.load(Ordering::Relaxed);
-        let space = self
-            .capacity
-            .saturating_sub(pos.wrapping_sub(cached).min(self.capacity));
-        if space >= want {
-            return space;
-        }
-        let head = self.head.0.load(Ordering::Acquire);
-        self.prod.0.head_cache.store(head, Ordering::Relaxed);
-        self.capacity - pos.wrapping_sub(head).min(self.capacity)
-    }
-
-    /// Writes one slot's payload and publishes it. The caller has
-    /// already established the slot is free via `space_for`.
-    fn write_slot(&self, pos: usize, value: f64, at: f64) {
-        let slot = &self.slots[pos & self.mask];
-        debug_assert_eq!(
-            slot.seq.load(Ordering::Acquire),
-            pos,
-            "SPSC contract violated: slot not free for this lap"
-        );
-        slot.value.store(value.to_bits(), Ordering::Relaxed);
-        slot.at.store(at.to_bits(), Ordering::Relaxed);
-        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Single push attempt; does not count drops.
-    fn try_push(&self, value: f64, at: f64) -> bool {
-        fp!("queue.ring.push");
-        let pos = self.prod.0.tail.load(Ordering::Relaxed);
-        if self.space_for(pos, 1) == 0 {
-            return false;
-        }
-        self.write_slot(pos, value, at);
-        self.prod
-            .0
-            .tail
-            .store(pos.wrapping_add(1), Ordering::Release);
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        self.maybe_notify(pos, 1);
-        true
-    }
-
-    /// Moves up to `want` leading samples out of `it`, publishing one
-    /// tail update (and at most one wakeup check) for the whole batch;
-    /// returns how many were accepted.
-    fn push_batch_partial(&self, it: &mut impl Iterator<Item = (f64, f64)>, want: usize) -> usize {
-        let pos = self.prod.0.tail.load(Ordering::Relaxed);
-        let take = want.min(self.space_for(pos, want));
-        if take == 0 {
-            return 0;
-        }
-        for (i, (value, at)) in it.take(take).enumerate() {
-            self.write_slot(pos.wrapping_add(i), value, at);
-        }
-        self.prod
-            .0
-            .tail
-            .store(pos.wrapping_add(take), Ordering::Release);
-        self.counters
-            .accepted
-            .fetch_add(take as u64, Ordering::Relaxed);
-        self.maybe_notify(pos, take);
-        take
-    }
-
-    /// Wakes an attached consumer if it may have parked on "empty"
-    /// anywhere inside the batch just published at `[start, start+n)`.
-    ///
-    /// This is the store-buffering corner: the producer published slot
-    /// sequences, the consumer published `head` before deciding the
-    /// ring was empty, and each must see the other's store. Release/
-    /// acquire alone permits *both* reads to miss, losing the wakeup
-    /// forever; a `SeqCst` fence on each side (the consumer's sits at
-    /// the top of `drain_into`) forbids that outcome — at least one
-    /// side wins, so either the consumer sees the data (no park) or the
-    /// producer sees the caught-up head (and notifies).
-    fn maybe_notify(&self, start: usize, n: usize) {
-        if !self.notifier.attached.load(Ordering::Relaxed) {
-            return;
-        }
-        fence(Ordering::SeqCst);
-        let head = self.head.0.load(Ordering::Relaxed);
-        // head ∈ [start, start+n] means the consumer caught up inside
-        // (or exactly at) this batch and may be parked; further behind
-        // means older published items were already covered by their own
-        // pushes' checks.
-        if head.wrapping_sub(start) <= n {
-            self.notifier.notify();
-        }
-    }
-
-    fn push_blocking(&self, value: f64, at: f64) -> bool {
-        loop {
-            for _ in 0..BLOCKING_SPIN_LIMIT {
-                if self.try_push(value, at) {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-            if !self.park_until_space() {
-                return false; // shut down while full
-            }
-            // SPSC: nothing but this thread pushes, so the freed slot
-            // the park observed is still free.
-            let pushed = self.try_push(value, at);
-            debug_assert!(pushed, "space observed under the park handshake vanished");
-            if pushed {
-                return true;
-            }
-            // Defensive fallback for contract misuse: never lose the
-            // sample a blocking push promised to deliver.
-        }
-    }
-
-    /// Parks until at least one slot is free, counting the wait. Uses
-    /// the `producer_parked` flag + `SeqCst` handshake mirroring
-    /// `maybe_notify` (the consumer's side is `wake_parked_producer`).
-    /// Returns `false` if the queue shut down while full instead.
-    fn park_until_space(&self) -> bool {
-        self.counters.waits.fetch_add(1, Ordering::Relaxed);
-        fp!("queue.ring.park");
-        let mut guard = self.space_lock.lock().expect("park lock poisoned");
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                self.producer_parked.store(false, Ordering::Relaxed);
-                return false;
-            }
-            self.producer_parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            let pos = self.prod.0.tail.load(Ordering::Relaxed);
-            if self.space_for(pos, 1) > 0 {
-                self.producer_parked.store(false, Ordering::Relaxed);
-                return true;
-            }
-            guard = self.space.wait(guard).expect("park lock poisoned");
-        }
-    }
-
-    /// Parks until space is available for a blocking batch refill
-    /// (spin first, mirroring `push_blocking`). Returns `false` if the
-    /// queue shut down while full instead.
-    fn wait_for_space(&self) -> bool {
-        for _ in 0..BLOCKING_SPIN_LIMIT {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            let pos = self.prod.0.tail.load(Ordering::Relaxed);
-            if self.space_for(pos, 1) > 0 {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        self.park_until_space()
-    }
-
-    /// Sets the sticky shutdown flag and wakes a parked producer. The
-    /// notify happens under the park lock, so a producer between its
-    /// re-check and its sleep cannot miss it.
-    fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _guard = self.space_lock.lock().expect("park lock poisoned");
-        self.space.notify_all();
-    }
-
-    fn drain_into(&self, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
-        fp!("queue.ring.drain");
-        // Pairs with the producer-side fence in `maybe_notify`: after
-        // the consumer publishes head (possibly deciding "empty" next
-        // call), this fence guarantees it cannot also miss a slot the
-        // producer published before checking head. See `maybe_notify`.
-        fence(Ordering::SeqCst);
-        let start = self.head.0.load(Ordering::Relaxed);
-        let slot_count = self.mask + 1;
-        let mut pos = start;
-        let mut taken = 0;
-        while taken < max {
-            let slot = &self.slots[pos & self.mask];
-            if slot.seq.load(Ordering::Acquire) != pos.wrapping_add(1) {
-                break; // contiguous run exhausted
-            }
-            let value = f64::from_bits(slot.value.load(Ordering::Relaxed));
-            let at = f64::from_bits(slot.at.load(Ordering::Relaxed));
-            out.push((value, at));
-            // Free the slot for the next lap.
-            slot.seq
-                .store(pos.wrapping_add(slot_count), Ordering::Release);
-            pos = pos.wrapping_add(1);
-            taken += 1;
-        }
-        if taken > 0 {
-            self.head.0.store(pos, Ordering::Release);
-            self.wake_parked_producer();
-        }
-        taken
-    }
-
-    /// Wakes a producer parked on back-pressure, if any. The `SeqCst`
-    /// fence closes the same store-buffering window as `maybe_notify`,
-    /// with the roles swapped: the consumer published `head` (space),
-    /// the producer published `producer_parked`; at least one side must
-    /// observe the other, so either the producer's re-check finds space
-    /// or this check finds the flag and notifies under the park lock.
-    fn wake_parked_producer(&self) {
-        fp!("queue.ring.unpark");
-        fence(Ordering::SeqCst);
-        if self.producer_parked.load(Ordering::Relaxed) {
-            let _guard = self.space_lock.lock().expect("park lock poisoned");
-            self.producer_parked.store(false, Ordering::Relaxed);
-            self.space.notify_all();
-        }
-    }
-
-    /// Pending samples right now (exact when quiescent, a snapshot
-    /// under concurrency).
-    fn len(&self) -> usize {
-        let tail = self.prod.0.tail.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head).min(self.capacity)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fan-in backend
-// ---------------------------------------------------------------------
-
-/// Lanes per fan-in queue. The first `FANIN_LANES - 1` producer threads
-/// each claim a private SPSC lane; any later thread falls back to the
-/// last lane, shared under a mutex (correct, just slower). The lane
-/// count bounds memory, not how many producers the queue supports.
-const FANIN_LANES: usize = 8;
-
-/// Source of unique fan-in queue ids for the thread-local lane cache.
-static FANIN_IDS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Which lane this thread claimed in each fan-in queue it has
-    /// pushed into, keyed by queue id. Thread-local so the per-push
-    /// lane lookup never synchronises with other producers.
-    static CLAIMED_LANES: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
-}
-
-/// One fan-in lane slot: the Vyukov `seq` protocol of [`Slot`] plus the
-/// global ticket that orders the sample across lanes.
-#[derive(Debug)]
-struct FanSlot {
-    seq: AtomicUsize,
-    value: AtomicU64,
-    at: AtomicU64,
-    ticket: AtomicU64,
-}
-
-/// One per-producer SPSC lane. `tail` is written only by the lane's
-/// producer (or under the shared-lane lock); `head` only by the single
-/// consumer. Capacity is *not* enforced per lane — the global `pending`
-/// counter bounds total occupancy, and each lane is sized to hold the
-/// full logical capacity, so a reservation always has a free slot in
-/// whichever lane its producer owns.
-#[derive(Debug)]
-struct Lane {
-    slots: Box<[FanSlot]>,
-    mask: usize,
-    tail: CacheLine<AtomicUsize>,
-    head: CacheLine<AtomicUsize>,
-}
-
-struct FanInInner {
-    /// Key for the thread-local lane cache.
-    id: u64,
-    lanes: Box<[Lane]>,
-    /// The logical bound, enforced globally across all lanes by
-    /// `pending` so back-pressure accounting matches the other
-    /// backends exactly.
-    capacity: usize,
-    /// Samples reserved but not yet consumed, across all lanes. A push
-    /// reserves with a CAS bounded by `capacity` (`Acquire` on success,
-    /// pairing with the consumer's `Release` decrement so every slot
-    /// freed before the decrement is visible before reuse); the
-    /// consumer decrements once per pop, *after* freeing the slot.
-    pending: AtomicUsize,
-    /// Next global ticket to hand out. Tickets totally order samples
-    /// across lanes; the consumer pops strictly in ticket order, so the
-    /// drained sequence is deterministic given the reservation order.
-    tickets: AtomicU64,
-    /// Next ticket the consumer will pop. Consumer-owned; producers
-    /// read it (after a `SeqCst` fence) to decide whether the consumer
-    /// may be parked waiting for the batch just published.
-    next_ticket: AtomicU64,
-    /// Consumer-owned hint: the lane that yielded the last pop.
-    /// Contiguous ticket blocks come from one lane, so starting the
-    /// next scan there makes the common case O(1), not O(lanes).
-    last_lane: AtomicUsize,
-    /// How many exclusive lanes have been handed out.
-    claimed: AtomicUsize,
-    /// Serialises producers that overflow into the shared last lane:
-    /// ticket grab and slot write must happen together under it, or
-    /// tickets could invert within the lane and deadlock the
-    /// ticket-ordered drain.
-    shared_lock: Mutex<()>,
-    /// Blocking producers park here when the queue is full.
-    space_lock: Mutex<()>,
-    space: Condvar,
-    /// Set (`SeqCst`) by a producer about to park; cleared only by the
-    /// waking consumer — with multiple producers, a peer observing
-    /// space must not clear a flag another parked producer relies on.
-    producer_parked: AtomicBool,
-    /// Sticky shutdown flag; see [`ObsQueue::shutdown`].
-    shutdown: AtomicBool,
-    counters: Counters,
-    notifier: NotifierSlot,
-}
-
-impl FanInInner {
-    fn new(capacity: usize) -> Self {
-        let slot_count = capacity.next_power_of_two();
-        let lanes: Box<[Lane]> = (0..FANIN_LANES)
-            .map(|_| Lane {
-                slots: (0..slot_count)
-                    .map(|i| FanSlot {
-                        seq: AtomicUsize::new(i),
-                        value: AtomicU64::new(0),
-                        at: AtomicU64::new(0),
-                        ticket: AtomicU64::new(0),
-                    })
-                    .collect(),
-                mask: slot_count - 1,
-                tail: CacheLine(AtomicUsize::new(0)),
-                head: CacheLine(AtomicUsize::new(0)),
-            })
-            .collect();
-        FanInInner {
-            id: FANIN_IDS.fetch_add(1, Ordering::Relaxed),
-            lanes,
-            capacity,
-            pending: AtomicUsize::new(0),
-            tickets: AtomicU64::new(0),
-            next_ticket: AtomicU64::new(0),
-            last_lane: AtomicUsize::new(0),
-            claimed: AtomicUsize::new(0),
-            shared_lock: Mutex::new(()),
-            space_lock: Mutex::new(()),
-            space: Condvar::new(),
-            producer_parked: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            notifier: NotifierSlot::default(),
-        }
-    }
-
-    /// The lane this thread pushes into, claiming one on first use.
-    fn lane_for_thread(&self) -> usize {
-        CLAIMED_LANES.with(|map| {
-            *map.borrow_mut().entry(self.id).or_insert_with(|| {
-                self.claimed
-                    .fetch_add(1, Ordering::Relaxed)
-                    .min(FANIN_LANES - 1)
-            })
-        })
-    }
-
-    /// Reserves up to `want` of the global capacity; returns how many
-    /// slots were secured (0 when full).
-    fn reserve(&self, want: usize) -> usize {
-        let mut cur = self.pending.load(Ordering::Relaxed);
-        loop {
-            let take = want.min(self.capacity - cur.min(self.capacity));
-            if take == 0 {
-                return 0;
-            }
-            match self.pending.compare_exchange_weak(
-                cur,
-                cur + take,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Writes `take` already-reserved samples into this thread's lane,
-    /// stamping each with a global ticket, then runs the wakeup check.
-    /// For the shared overflow lane, the ticket grab and the slot
-    /// writes happen together under the lane lock so tickets stay
-    /// ascending within the lane — the invariant the ticket-ordered
-    /// drain relies on to never wait for a sample behind a later one.
-    fn publish(&self, it: &mut impl Iterator<Item = (f64, f64)>, take: usize) {
-        fp!("queue.fanin.publish");
-        let lane_idx = self.lane_for_thread();
-        let guard = if lane_idx == FANIN_LANES - 1 {
-            Some(self.shared_lock.lock().expect("shared lane lock poisoned"))
-        } else {
-            None
-        };
-        let lane = &self.lanes[lane_idx];
-        let first = self.tickets.fetch_add(take as u64, Ordering::Relaxed);
-        let pos = lane.tail.0.load(Ordering::Relaxed);
-        for (i, (value, at)) in it.take(take).enumerate() {
-            let slot = &lane.slots[pos.wrapping_add(i) & lane.mask];
-            debug_assert_eq!(
-                slot.seq.load(Ordering::Acquire),
-                pos.wrapping_add(i),
-                "fan-in lane slot reused before the consumer freed it"
-            );
-            slot.value.store(value.to_bits(), Ordering::Relaxed);
-            slot.at.store(at.to_bits(), Ordering::Relaxed);
-            slot.ticket.store(first + i as u64, Ordering::Relaxed);
-            slot.seq
-                .store(pos.wrapping_add(i).wrapping_add(1), Ordering::Release);
-        }
-        lane.tail.0.store(pos.wrapping_add(take), Ordering::Relaxed);
-        drop(guard);
-        self.counters
-            .accepted
-            .fetch_add(take as u64, Ordering::Relaxed);
-        self.maybe_notify(first, take as u64);
-    }
-
-    /// Wakes an attached consumer that may have parked while the batch
-    /// ticketed `[first, first + n)` was in flight. Same
-    /// store-buffering closure as the ring's `maybe_notify`, with the
-    /// consumer's published cursor being `next_ticket` instead of
-    /// `head`: the producer publishes its slots then fences; the
-    /// consumer stores `next_ticket`, fences and rescans before giving
-    /// up (see `drain_into`); at least one side must see the other, so
-    /// either the rescan finds the sample or this check finds the
-    /// consumer waiting inside the window and notifies. A waiting
-    /// ticket below `first` is covered by *its* publisher's check — the
-    /// same induction the ring uses over earlier pushes.
-    fn maybe_notify(&self, first: u64, n: u64) {
-        if !self.notifier.attached.load(Ordering::Relaxed) {
-            return;
-        }
-        fence(Ordering::SeqCst);
-        let next = self.next_ticket.load(Ordering::Relaxed);
-        if next.wrapping_sub(first) <= n {
-            self.notifier.notify();
-        }
-    }
-
-    /// Single push attempt; does not count drops.
-    fn try_push(&self, value: f64, at: f64) -> bool {
-        if self.reserve(1) == 0 {
-            return false;
-        }
-        self.publish(&mut std::iter::once((value, at)), 1);
-        true
-    }
-
-    /// Moves up to `want` leading samples out of `it`; returns how many
-    /// were accepted.
-    fn push_batch_partial(&self, it: &mut impl Iterator<Item = (f64, f64)>, want: usize) -> usize {
-        let take = self.reserve(want);
-        if take == 0 {
-            return 0;
-        }
-        self.publish(it, take);
-        take
-    }
-
-    fn push_blocking(&self, value: f64, at: f64) -> bool {
-        loop {
-            for _ in 0..BLOCKING_SPIN_LIMIT {
-                if self.try_push(value, at) {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-            // Unlike the SPSC ring, space observed under the park
-            // handshake may be claimed by a peer producer first — so
-            // re-attempt the push and re-park if it is gone again.
-            if !self.park_until_space() {
-                return false; // shut down while full
-            }
-        }
-    }
-
-    /// Parks until the queue is below capacity, counting the wait. The
-    /// `SeqCst` handshake mirrors the ring's, but the flag is *sticky*:
-    /// only the waking consumer clears it, because with several
-    /// producers one observing space must not un-flag peers still
-    /// parked behind it.
-    fn park_until_space(&self) -> bool {
-        self.counters.waits.fetch_add(1, Ordering::Relaxed);
-        fp!("queue.fanin.park");
-        let mut guard = self.space_lock.lock().expect("park lock poisoned");
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            self.producer_parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.pending.load(Ordering::Relaxed) < self.capacity {
-                return true;
-            }
-            guard = self.space.wait(guard).expect("park lock poisoned");
-        }
-    }
-
-    /// Parks until space is available for a blocking batch refill
-    /// (spin first, mirroring `push_blocking`). Returns `false` if the
-    /// queue shut down while full instead.
-    fn wait_for_space(&self) -> bool {
-        for _ in 0..BLOCKING_SPIN_LIMIT {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            if self.pending.load(Ordering::Relaxed) < self.capacity {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        self.park_until_space()
-    }
-
-    /// Sets the sticky shutdown flag and wakes every parked producer
-    /// (notify under the park lock so no producer can miss it between
-    /// its re-check and its sleep).
-    fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _guard = self.space_lock.lock().expect("park lock poisoned");
-        self.space.notify_all();
-    }
-
-    /// Pops the sample ticketed `next` if some lane has published it at
-    /// its head, appending it to `out`; returns the lane it came from.
-    /// Scans from `hint` because consecutive tickets usually come from
-    /// the same lane (one producer's contiguous block).
-    fn pop_ticket(&self, next: u64, hint: usize, out: &mut Vec<(f64, f64)>) -> Option<usize> {
-        for probe in 0..FANIN_LANES {
-            let lane_idx = (hint + probe) % FANIN_LANES;
-            let lane = &self.lanes[lane_idx];
-            let head = lane.head.0.load(Ordering::Relaxed);
-            let slot = &lane.slots[head & lane.mask];
-            if slot.seq.load(Ordering::Acquire) != head.wrapping_add(1) {
-                continue; // lane empty, or its head not yet published
-            }
-            if slot.ticket.load(Ordering::Relaxed) != next {
-                continue; // published, but a later ticket: not its turn
-            }
-            let value = f64::from_bits(slot.value.load(Ordering::Relaxed));
-            let at = f64::from_bits(slot.at.load(Ordering::Relaxed));
-            out.push((value, at));
-            // Free the slot for the lane's next lap.
-            slot.seq
-                .store(head.wrapping_add(lane.mask + 1), Ordering::Release);
-            lane.head.0.store(head.wrapping_add(1), Ordering::Relaxed);
-            return Some(lane_idx);
-        }
-        None
-    }
-
-    fn drain_into(&self, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
-        fp!("queue.fanin.drain");
-        // Pairs with the producer-side fences in `maybe_notify`.
-        fence(Ordering::SeqCst);
-        let mut next = self.next_ticket.load(Ordering::Relaxed);
-        let mut hint = self.last_lane.load(Ordering::Relaxed);
-        let mut taken = 0;
-        while taken < max {
-            let popped = match self.pop_ticket(next, hint, out) {
-                Some(lane) => Some(lane),
-                None => {
-                    // Head-of-line ticket not visible. Before giving up
-                    // (the caller may park on a WorkNotifier), close
-                    // the store-buffering window: fence and rescan once
-                    // — the producer side is `maybe_notify`.
-                    fence(Ordering::SeqCst);
-                    self.pop_ticket(next, hint, out)
-                }
-            };
-            let Some(lane) = popped else { break };
-            hint = lane;
-            next = next.wrapping_add(1);
-            // `SeqCst` so a producer's post-publish window check and
-            // this cursor publication cannot both miss each other.
-            self.next_ticket.store(next, Ordering::SeqCst);
-            // After the slot is freed: the producer's reserve-CAS
-            // (`Acquire`) sees this decrement only after the free.
-            self.pending.fetch_sub(1, Ordering::Release);
-            taken += 1;
-        }
-        if taken > 0 {
-            self.last_lane.store(hint, Ordering::Relaxed);
-            self.wake_parked_producer();
-        }
-        taken
-    }
-
-    /// Wakes producers parked on back-pressure, if any; same `SeqCst`
-    /// closure as the ring's, except the flag is cleared here only.
-    fn wake_parked_producer(&self) {
-        fp!("queue.fanin.unpark");
-        fence(Ordering::SeqCst);
-        if self.producer_parked.load(Ordering::Relaxed) {
-            let _guard = self.space_lock.lock().expect("park lock poisoned");
-            self.producer_parked.store(false, Ordering::Relaxed);
-            self.space.notify_all();
-        }
-    }
-
-    /// Samples reserved and not yet consumed (exact when quiescent; a
-    /// reservation whose payload is still being written counts too).
-    fn len(&self) -> usize {
-        self.pending.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-enum Inner {
-    Mutex(Arc<MutexInner>),
-    Ring(Arc<RingInner>),
-    FanIn(Arc<FanInInner>),
-}
-
 /// A bounded queue of observations, cheaply cloneable into producer and
 /// consumer handles (clones share the same buffer and counters).
 ///
-/// Construct with [`ObsQueue::bounded`] (mutex backend) or
-/// [`ObsQueue::with_backend`]. The [`QueueBackend::Ring`] flavour
-/// requires the SPSC contract: at most one thread pushing and one
-/// draining at any instant (handing either role between threads through
-/// a lock or join is fine). Misuse cannot corrupt memory — everything
-/// is safe Rust — but concurrent producers may overwrite each other's
-/// samples.
+/// Construct with [`ObsQueue::bounded`].
 #[derive(Clone)]
 pub struct ObsQueue {
-    inner: Inner,
+    inner: Arc<Inner>,
     /// Optional dead-letter queue, shared by every clone (set once,
     /// read with one atomic load on the push path). While attached,
     /// lossy pushes capture instead of dropping; see [`crate::dlq`].
@@ -1169,7 +336,6 @@ pub struct ObsQueue {
 impl std::fmt::Debug for ObsQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsQueue")
-            .field("backend", &self.backend())
             .field("capacity", &self.capacity())
             .field("len", &self.len())
             .field("accepted", &self.accepted())
@@ -1180,63 +346,23 @@ impl std::fmt::Debug for ObsQueue {
 }
 
 impl ObsQueue {
-    /// Creates a mutex-backed queue holding at most `capacity` pending
-    /// observations.
+    /// Creates a queue holding at most `capacity` pending observations.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn bounded(capacity: usize) -> Self {
-        ObsQueue::with_backend(capacity, QueueBackend::Mutex)
-    }
-
-    /// Creates a queue on the chosen [`QueueBackend`] holding at most
-    /// `capacity` pending observations. The ring backend rounds its
-    /// *physical* slot count up to the next power of two but enforces
-    /// the logical `capacity` exactly, so back-pressure behaviour is
-    /// identical across backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_backend(capacity: usize, backend: QueueBackend) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        let inner = match backend {
-            QueueBackend::Mutex => Inner::Mutex(Arc::new(MutexInner::new(capacity))),
-            QueueBackend::Ring => Inner::Ring(Arc::new(RingInner::new(capacity))),
-            QueueBackend::FanIn => Inner::FanIn(Arc::new(FanInInner::new(capacity))),
-        };
         ObsQueue {
-            inner,
+            inner: Arc::new(Inner::new(capacity)),
             dlq: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.inner {
-            Inner::Mutex(_) => QueueBackend::Mutex,
-            Inner::Ring(_) => QueueBackend::Ring,
-            Inner::FanIn(_) => QueueBackend::FanIn,
-        }
-    }
-
-    fn counters(&self) -> &Counters {
-        match &self.inner {
-            Inner::Mutex(q) => &q.counters,
-            Inner::Ring(q) => &q.counters,
-            Inner::FanIn(q) => &q.counters,
         }
     }
 
     /// Attaches a consumer wakeup hook: pushes that make the queue
     /// non-empty will signal it. Replaces any previous notifier.
     pub fn attach_notifier(&self, notifier: Arc<WorkNotifier>) {
-        match &self.inner {
-            Inner::Mutex(q) => q.notifier.attach(notifier),
-            Inner::Ring(q) => q.notifier.attach(notifier),
-            Inner::FanIn(q) => q.notifier.attach(notifier),
-        }
+        *self.inner.notifier.lock().expect("notifier slot poisoned") = Some(notifier);
     }
 
     /// Offers one untimed observation; returns `false` (and counts a
@@ -1260,18 +386,13 @@ impl ObsQueue {
                 return dlq.capture_one(value, at);
             }
         }
-        let accepted = match &self.inner {
-            Inner::Mutex(q) => q.try_push(value, at),
-            Inner::Ring(q) => q.try_push(value, at),
-            Inner::FanIn(q) => q.try_push(value, at),
-        };
-        if accepted {
+        if self.inner.try_push(value, at) {
             return true;
         }
         if let Some(dlq) = self.dlq.get() {
             return dlq.capture_one(value, at);
         }
-        self.counters().dropped.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.dropped.fetch_add(1, Ordering::Relaxed);
         false
     }
 
@@ -1280,9 +401,8 @@ impl ObsQueue {
     /// accepted. The rest are counted as drops — unless a dead-letter
     /// queue is attached, in which case they are captured there (then
     /// the return value counts queued *plus* captured samples, and the
-    /// shortfall is DLQ overflow). One lock acquisition (mutex) or one
-    /// tail publish (ring) covers the whole accepted prefix — the
-    /// batched-producer fast path.
+    /// shortfall is DLQ overflow). One lock acquisition covers the
+    /// whole accepted prefix — the batched-producer fast path.
     pub fn push_batch<I>(&self, samples: I) -> usize
     where
         I: IntoIterator<Item = (f64, f64)>,
@@ -1297,16 +417,13 @@ impl ObsQueue {
                 return dlq.capture_iter(&mut it, want);
             }
         }
-        let took = match &self.inner {
-            Inner::Mutex(q) => q.push_batch_partial(&mut it, want),
-            Inner::Ring(q) => q.push_batch_partial(&mut it, want),
-            Inner::FanIn(q) => q.push_batch_partial(&mut it, want),
-        };
+        let took = self.inner.push_batch_partial(&mut it, want);
         if took < want {
             if let Some(dlq) = self.dlq.get() {
                 return took + dlq.capture_iter(&mut it, want - took);
             }
-            self.counters()
+            self.inner
+                .counters
                 .dropped
                 .fetch_add((want - took) as u64, Ordering::Relaxed);
         }
@@ -1328,21 +445,10 @@ impl ObsQueue {
         let want = it.len();
         let mut pushed = 0;
         while pushed < want {
-            let took = match &self.inner {
-                Inner::Mutex(q) => q.push_batch_partial(&mut it, want - pushed),
-                Inner::Ring(q) => q.push_batch_partial(&mut it, want - pushed),
-                Inner::FanIn(q) => q.push_batch_partial(&mut it, want - pushed),
-            };
+            let took = self.inner.push_batch_partial(&mut it, want - pushed);
             pushed += took;
-            if pushed < want {
-                let space = match &self.inner {
-                    Inner::Mutex(q) => q.wait_for_space(),
-                    Inner::Ring(q) => q.wait_for_space(),
-                    Inner::FanIn(q) => q.wait_for_space(),
-                };
-                if !space {
-                    break; // shut down while full: nothing will drain
-                }
+            if pushed < want && !self.inner.wait_for_space() {
+                break; // shut down while full: nothing will drain
             }
         }
         pushed
@@ -1363,11 +469,7 @@ impl ObsQueue {
     /// a pegged producer core. Parks are counted in [`ObsQueue::waits`].
     /// Returns `false` only if the queue was shut down while full.
     pub fn push_blocking_at(&self, value: f64, at: f64) -> bool {
-        match &self.inner {
-            Inner::Mutex(q) => q.push_blocking(value, at),
-            Inner::Ring(q) => q.push_blocking(value, at),
-            Inner::FanIn(q) => q.push_blocking(value, at),
-        }
+        self.inner.push_blocking(value, at)
     }
 
     /// Marks the queue shut down and wakes every parked producer: the
@@ -1378,29 +480,17 @@ impl ObsQueue {
     /// spawn so drain planes can run back to back on one supervisor);
     /// non-blocking pushes and drains are unaffected.
     pub fn shutdown(&self) {
-        match &self.inner {
-            Inner::Mutex(q) => q.shutdown(),
-            Inner::Ring(q) => q.shutdown(),
-            Inner::FanIn(q) => q.shutdown(),
-        }
+        self.inner.shutdown()
     }
 
     /// Whether [`ObsQueue::shutdown`] has been called (and not cleared).
     pub fn is_shutdown(&self) -> bool {
-        match &self.inner {
-            Inner::Mutex(q) => q.shutdown.load(Ordering::SeqCst),
-            Inner::Ring(q) => q.shutdown.load(Ordering::SeqCst),
-            Inner::FanIn(q) => q.shutdown.load(Ordering::SeqCst),
-        }
+        self.inner.shutdown.load(Ordering::SeqCst)
     }
 
     /// Clears the sticky shutdown flag so blocking pushes park again.
     pub(crate) fn clear_shutdown(&self) {
-        match &self.inner {
-            Inner::Mutex(q) => q.shutdown.store(false, Ordering::SeqCst),
-            Inner::Ring(q) => q.shutdown.store(false, Ordering::SeqCst),
-            Inner::FanIn(q) => q.shutdown.store(false, Ordering::SeqCst),
-        }
+        self.inner.shutdown.store(false, Ordering::SeqCst);
     }
 
     /// The attached dead-letter queue, if any.
@@ -1430,42 +520,30 @@ impl ObsQueue {
     /// capture order — the ordering the decision digests are defined
     /// over. No-op without a DLQ or with nothing pending.
     ///
-    /// Single-consumer note: this pushes from the consumer thread, but
-    /// never concurrently with a producer on the SPSC ring — while the
-    /// DLQ is non-empty every lossy push is diverted *into* the DLQ
-    /// (serialised by its lock), and the pending count only reads zero
-    /// again after the replay's queue writes are published.
+    /// Ordering note: this pushes from the consumer thread while
+    /// producers may push too, but while the DLQ is non-empty every
+    /// lossy push is diverted *into* the DLQ (serialised by its lock),
+    /// and the pending count only reads zero again after the replay's
+    /// queue writes are published.
     pub(crate) fn replay_dead_letters(&self) -> usize {
         let Some(dlq) = self.dlq.get() else { return 0 };
         if dlq.pending() == 0 {
             return 0;
         }
-        dlq.replay_with(|mut it, want| match &self.inner {
-            Inner::Mutex(q) => q.push_batch_partial(&mut it, want),
-            Inner::Ring(q) => q.push_batch_partial(&mut it, want),
-            Inner::FanIn(q) => q.push_batch_partial(&mut it, want),
-        })
+        dlq.replay_with(|mut it, want| self.inner.push_batch_partial(&mut it, want))
     }
 
     /// Moves up to `max` pending `(value, at)` samples into `out`
     /// (appended in FIFO order), returning how many were moved. One
-    /// lock acquisition (mutex) or one contiguous slot run (ring) per
-    /// batch; parked producers are woken when space was freed.
+    /// lock acquisition per batch; parked producers are woken when
+    /// space was freed.
     pub fn drain_into(&self, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
-        match &self.inner {
-            Inner::Mutex(q) => q.drain_into(out, max),
-            Inner::Ring(q) => q.drain_into(out, max),
-            Inner::FanIn(q) => q.drain_into(out, max),
-        }
+        self.inner.drain_into(out, max)
     }
 
     /// Pending observations right now.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Mutex(q) => q.len(),
-            Inner::Ring(q) => q.len(),
-            Inner::FanIn(q) => q.len(),
-        }
+        self.inner.len()
     }
 
     /// Whether the queue is currently empty.
@@ -1480,27 +558,19 @@ impl ObsQueue {
     /// pool's work-stealing check reads this so sizing up a backlog
     /// never contends with the drain it is deciding whether to relieve.
     pub fn backlog_hint(&self) -> usize {
-        match &self.inner {
-            Inner::Mutex(q) => q.occupancy.load(Ordering::Relaxed),
-            Inner::Ring(q) => q.len(),
-            Inner::FanIn(q) => q.len(),
-        }
+        self.inner.occupancy.load(Ordering::Relaxed)
     }
 
     /// Maximum pending observations.
     pub fn capacity(&self) -> usize {
-        match &self.inner {
-            Inner::Mutex(q) => q.capacity,
-            Inner::Ring(q) => q.capacity,
-            Inner::FanIn(q) => q.capacity,
-        }
+        self.inner.capacity
     }
 
     /// Resets the lifetime accounting to checkpointed values; used when
     /// a supervisor restores a snapshot so its report resumes the
     /// checkpoint's totals.
     pub(crate) fn resume_counters(&self, accepted: u64, dropped: u64, waits: u64) {
-        let counters = self.counters();
+        let counters = &self.inner.counters;
         counters.accepted.store(accepted, Ordering::Relaxed);
         counters.dropped.store(dropped, Ordering::Relaxed);
         counters.waits.store(waits, Ordering::Relaxed);
@@ -1508,34 +578,24 @@ impl ObsQueue {
 
     /// Lifetime count of accepted observations.
     pub fn accepted(&self) -> u64 {
-        self.counters().accepted.load(Ordering::Relaxed)
+        self.inner.counters.accepted.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of observations dropped to back-pressure.
     pub fn dropped(&self) -> u64 {
-        self.counters().dropped.load(Ordering::Relaxed)
+        self.inner.counters.dropped.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of blocking-producer parks (back-pressure stalls
     /// that put the producer to sleep instead of spinning).
     pub fn waits(&self) -> u64 {
-        self.counters().waits.load(Ordering::Relaxed)
+        self.inner.counters.waits.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const BACKENDS: [QueueBackend; 3] =
-        [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn];
-
-    /// Runs `test` against a fresh queue of every backend.
-    fn for_each_backend(capacity: usize, test: impl Fn(ObsQueue)) {
-        for backend in BACKENDS {
-            test(ObsQueue::with_backend(capacity, backend));
-        }
-    }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
@@ -1544,50 +604,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics_for_ring() {
-        let _ = ObsQueue::with_backend(0, QueueBackend::Ring);
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!("mutex".parse(), Ok(QueueBackend::Mutex));
-        assert_eq!("Ring".parse(), Ok(QueueBackend::Ring));
-        assert_eq!("fanin".parse(), Ok(QueueBackend::FanIn));
-        assert!("spinlock".parse::<QueueBackend>().is_err());
-        assert!("spinlock"
-            .parse::<QueueBackend>()
-            .unwrap_err()
-            .contains("mutex|ring|fanin"));
-        assert_eq!(QueueBackend::Ring.to_string(), "ring");
-        assert_eq!(QueueBackend::FanIn.to_string(), "fanin");
-        assert_eq!(QueueBackend::default(), QueueBackend::Mutex);
-    }
-
-    #[test]
     fn push_fails_fast_when_full() {
-        for_each_backend(2, |q| {
-            assert!(q.push(1.0));
-            assert!(q.push(2.0));
-            assert!(!q.push(3.0));
-            assert_eq!((q.accepted(), q.dropped(), q.len()), (2, 1, 2));
-        });
+        let q = ObsQueue::bounded(2);
+        assert!(q.push(1.0));
+        assert!(q.push(2.0));
+        assert!(!q.push(3.0));
+        assert_eq!((q.accepted(), q.dropped(), q.len()), (2, 1, 2));
     }
 
     #[test]
     fn drain_preserves_fifo_order_and_frees_space() {
-        for_each_backend(3, |q| {
-            for v in [1.0, 2.0, 3.0] {
-                q.push(v);
-            }
-            let mut out = Vec::new();
-            assert_eq!(q.drain_into(&mut out, 2), 2);
-            assert_eq!(values(&out), vec![1.0, 2.0]);
-            assert!(q.push(4.0), "drain must free capacity");
-            assert_eq!(q.drain_into(&mut out, 10), 2);
-            assert_eq!(values(&out), vec![1.0, 2.0, 3.0, 4.0]);
-            assert!(q.is_empty());
-        });
+        let q = ObsQueue::bounded(3);
+        for v in [1.0, 2.0, 3.0] {
+            q.push(v);
+        }
+        let mut out = Vec::new();
+        assert_eq!(q.drain_into(&mut out, 2), 2);
+        assert_eq!(values(&out), vec![1.0, 2.0]);
+        assert!(q.push(4.0), "drain must free capacity");
+        assert_eq!(q.drain_into(&mut out, 10), 2);
+        assert_eq!(values(&out), vec![1.0, 2.0, 3.0, 4.0]);
+        assert!(q.is_empty());
     }
 
     fn values(samples: &[(f64, f64)]) -> Vec<f64> {
@@ -1596,113 +633,106 @@ mod tests {
 
     #[test]
     fn timestamps_ride_along_and_untimed_is_nan() {
-        for_each_backend(4, |q| {
-            q.push_at(1.5, 10.0);
-            q.push(2.5);
-            let mut out = Vec::new();
-            q.drain_into(&mut out, 8);
-            assert_eq!(out[0], (1.5, 10.0));
-            assert_eq!(out[1].0, 2.5);
-            assert!(out[1].1.is_nan(), "untimed samples carry NaN");
-        });
+        let q = ObsQueue::bounded(4);
+        q.push_at(1.5, 10.0);
+        q.push(2.5);
+        let mut out = Vec::new();
+        q.drain_into(&mut out, 8);
+        assert_eq!(out[0], (1.5, 10.0));
+        assert_eq!(out[1].0, 2.5);
+        assert!(out[1].1.is_nan(), "untimed samples carry NaN");
     }
 
     #[test]
     fn clones_share_state() {
-        for_each_backend(4, |q| {
-            let producer = q.clone();
-            producer.push(7.0);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.accepted(), 1);
-        });
+        let q = ObsQueue::bounded(4);
+        let producer = q.clone();
+        producer.push(7.0);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.accepted(), 1);
     }
 
     #[test]
     fn batch_push_accepts_a_prefix_and_counts_the_rest_as_drops() {
-        for_each_backend(4, |q| {
-            q.push(0.0);
-            let batch: Vec<(f64, f64)> = (1..=5).map(|i| (i as f64, UNTIMED)).collect();
-            assert_eq!(q.push_batch(batch), 3, "only three slots were free");
-            assert_eq!((q.accepted(), q.dropped(), q.len()), (4, 2, 4));
-            let mut out = Vec::new();
-            q.drain_into(&mut out, 10);
-            assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
-        });
+        let q = ObsQueue::bounded(4);
+        q.push(0.0);
+        let batch: Vec<(f64, f64)> = (1..=5).map(|i| (i as f64, UNTIMED)).collect();
+        assert_eq!(q.push_batch(batch), 3, "only three slots were free");
+        assert_eq!((q.accepted(), q.dropped(), q.len()), (4, 2, 4));
+        let mut out = Vec::new();
+        q.drain_into(&mut out, 10);
+        assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn batch_push_wraps_around_the_ring() {
         // Cycle a small ring well past its physical slot count so laps
         // and sequence-word advancement are exercised.
-        for_each_backend(3, |q| {
-            let mut out = Vec::new();
-            let mut expected = Vec::new();
-            let mut next = 0.0;
-            for round in 0..40 {
-                let n = 1 + (round % 3);
-                let batch: Vec<(f64, f64)> = (0..n).map(|i| (next + i as f64, UNTIMED)).collect();
-                let took = q.push_batch(batch.clone());
-                expected.extend(batch[..took].iter().map(|&(v, _)| v));
-                next += n as f64;
-                q.drain_into(&mut out, 2);
-            }
-            q.drain_into(&mut out, usize::MAX);
-            assert_eq!(values(&out), expected);
-            assert_eq!(q.accepted(), expected.len() as u64);
-        });
+        let q = ObsQueue::bounded(3);
+        let mut out = Vec::new();
+        let mut expected = Vec::new();
+        let mut next = 0.0;
+        for round in 0..40 {
+            let n = 1 + (round % 3);
+            let batch: Vec<(f64, f64)> = (0..n).map(|i| (next + i as f64, UNTIMED)).collect();
+            let took = q.push_batch(batch.clone());
+            expected.extend(batch[..took].iter().map(|&(v, _)| v));
+            next += n as f64;
+            q.drain_into(&mut out, 2);
+        }
+        q.drain_into(&mut out, usize::MAX);
+        assert_eq!(values(&out), expected);
+        assert_eq!(q.accepted(), expected.len() as u64);
     }
 
     #[test]
     fn blocking_push_parks_instead_of_spinning() {
-        for_each_backend(1, |q| {
-            q.push(0.0);
-            let producer = q.clone();
-            let handle = std::thread::spawn(move || {
-                // Queue is full: the producer must wait for the drain below.
-                producer.push_blocking(1.0);
-            });
-            // Give the producer time to exhaust its spin budget and park.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            let mut out = Vec::new();
-            q.drain_into(&mut out, 1);
-            handle.join().unwrap();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.accepted(), 2);
-            assert_eq!(q.waits(), 1, "the stalled producer parked exactly once");
+        let q = ObsQueue::bounded(1);
+        q.push(0.0);
+        let producer = q.clone();
+        let handle = std::thread::spawn(move || {
+            // Queue is full: the producer must wait for the drain below.
+            producer.push_blocking(1.0);
         });
+        // Give the producer time to exhaust its spin budget and park.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut out = Vec::new();
+        q.drain_into(&mut out, 1);
+        handle.join().unwrap();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.accepted(), 2);
+        assert_eq!(q.waits(), 1, "the stalled producer parked exactly once");
     }
 
     #[test]
     fn blocking_batch_push_delivers_everything() {
-        for_each_backend(4, |q| {
-            let producer = q.clone();
-            let handle = std::thread::spawn(move || {
-                let batch: Vec<(f64, f64)> = (0..64).map(|i| (i as f64, UNTIMED)).collect();
-                producer.push_batch_blocking(batch);
-            });
-            let mut out = Vec::new();
-            while out.len() < 64 {
-                if q.drain_into(&mut out, 8) == 0 {
-                    std::thread::yield_now();
-                }
-            }
-            handle.join().unwrap();
-            assert_eq!(values(&out), (0..64).map(f64::from).collect::<Vec<_>>());
-            assert_eq!((q.accepted(), q.dropped()), (64, 0));
+        let q = ObsQueue::bounded(4);
+        let producer = q.clone();
+        let handle = std::thread::spawn(move || {
+            let batch: Vec<(f64, f64)> = (0..64).map(|i| (i as f64, UNTIMED)).collect();
+            producer.push_batch_blocking(batch);
         });
+        let mut out = Vec::new();
+        while out.len() < 64 {
+            if q.drain_into(&mut out, 8) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        handle.join().unwrap();
+        assert_eq!(values(&out), (0..64).map(f64::from).collect::<Vec<_>>());
+        assert_eq!((q.accepted(), q.dropped()), (64, 0));
     }
 
     #[test]
     fn notifier_signals_on_empty_to_nonempty_transition() {
-        for_each_backend(8, |q| {
-            let notifier = Arc::new(WorkNotifier::new());
-            q.attach_notifier(Arc::clone(&notifier));
-            q.push(1.0);
-            assert_eq!(notifier.wait(), Wakeup::Work, "first push signals");
-            q.push(2.0); // non-empty: no signal needed
-            notifier.shutdown();
-            assert_eq!(notifier.wait(), Wakeup::Shutdown);
-        });
+        let q = ObsQueue::bounded(8);
+        let notifier = Arc::new(WorkNotifier::new());
+        q.attach_notifier(Arc::clone(&notifier));
+        q.push(1.0);
+        assert_eq!(notifier.wait(), Wakeup::Work, "first push signals");
+        q.push(2.0); // non-empty: no signal needed
+        notifier.shutdown();
+        assert_eq!(notifier.wait(), Wakeup::Shutdown);
     }
 
     #[test]
@@ -1717,274 +747,83 @@ mod tests {
 
     #[test]
     fn threaded_producer_consumer_loses_nothing_with_blocking_push() {
-        for_each_backend(16, |q| {
-            let producer = q.clone();
-            const N: u64 = 10_000;
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    for i in 0..N {
-                        producer.push_blocking(i as f64);
-                    }
-                });
-                let mut seen = 0u64;
-                let mut batch = Vec::new();
-                let mut expected = 0.0;
-                while seen < N {
-                    batch.clear();
-                    let n = q.drain_into(&mut batch, 64);
-                    for &(v, _) in &batch {
-                        assert_eq!(v, expected, "FIFO order must survive threading");
-                        expected += 1.0;
-                    }
-                    seen += n as u64;
-                    if n == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            assert_eq!(q.accepted(), N);
-            assert_eq!(q.dropped(), 0);
-        });
-    }
-
-    #[test]
-    fn threaded_batched_producer_keeps_fifo_and_loses_nothing() {
-        for_each_backend(64, |q| {
-            let producer = q.clone();
-            const N: u64 = 50_000;
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    let mut i = 0u64;
-                    while i < N {
-                        let n = (N - i).min(37);
-                        let batch: Vec<(f64, f64)> =
-                            (i..i + n).map(|k| (k as f64, UNTIMED)).collect();
-                        producer.push_batch_blocking(batch);
-                        i += n;
-                    }
-                });
-                let mut seen = 0u64;
-                let mut batch = Vec::new();
-                let mut expected = 0.0;
-                while seen < N {
-                    batch.clear();
-                    let n = q.drain_into(&mut batch, 48);
-                    for &(v, _) in &batch {
-                        assert_eq!(v, expected, "FIFO order must survive batching");
-                        expected += 1.0;
-                    }
-                    seen += n as u64;
-                    if n == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            assert_eq!(q.accepted(), N);
-            assert_eq!(q.dropped(), 0);
-        });
-    }
-
-    #[test]
-    fn parked_consumer_is_woken_by_ring_pushes() {
-        // End-to-end park/wake over the lock-free backend: a consumer
-        // thread parks on the notifier whenever a drain comes up empty,
-        // while the producer free-runs; every sample must arrive.
-        let q = ObsQueue::with_backend(8, QueueBackend::Ring);
-        let notifier = Arc::new(WorkNotifier::new());
-        q.attach_notifier(Arc::clone(&notifier));
-        const N: u64 = 2_000;
+        let q = ObsQueue::bounded(16);
+        let producer = q.clone();
+        const N: u64 = 10_000;
         std::thread::scope(|scope| {
-            let consumer_q = q.clone();
-            let consumer_n = Arc::clone(&notifier);
-            let consumer = scope.spawn(move || {
-                let mut out = Vec::new();
-                loop {
-                    while consumer_q.drain_into(&mut out, 16) > 0 {}
-                    match consumer_n.wait() {
-                        Wakeup::Work => continue,
-                        Wakeup::Shutdown => break,
-                    }
+            scope.spawn(move || {
+                for i in 0..N {
+                    producer.push_blocking(i as f64);
                 }
-                while consumer_q.drain_into(&mut out, 16) > 0 {}
-                out
             });
-            for i in 0..N {
-                q.push_blocking(i as f64);
-                if i % 128 == 0 {
-                    // Give the consumer a chance to drain to empty and
-                    // park, exercising the empty→non-empty wakeup.
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+            let mut seen = 0u64;
+            let mut batch = Vec::new();
+            let mut expected = 0.0;
+            while seen < N {
+                batch.clear();
+                let n = q.drain_into(&mut batch, 64);
+                for &(v, _) in &batch {
+                    assert_eq!(v, expected, "FIFO order must survive threading");
+                    expected += 1.0;
                 }
-            }
-            notifier.shutdown();
-            let out = consumer.join().unwrap();
-            assert_eq!(out.len() as u64, N, "every push was drained");
-            for (i, &(v, _)) in out.iter().enumerate() {
-                assert_eq!(v, i as f64);
+                seen += n as u64;
+                if n == 0 {
+                    std::thread::yield_now();
+                }
             }
         });
-    }
-
-    /// Asserts the drained fan-in sequence is a loss-free merge: every
-    /// producer's samples appear exactly once, in that producer's push
-    /// order. Values encode `producer * stride + index`.
-    fn assert_merged(out: &[(f64, f64)], producers: usize, per_producer: u64, stride: f64) {
-        assert_eq!(out.len() as u64, producers as u64 * per_producer);
-        let mut next = vec![0u64; producers];
-        for &(v, _) in out {
-            let producer = (v / stride) as usize;
-            let index = (v - producer as f64 * stride) as u64;
-            assert_eq!(
-                index, next[producer],
-                "producer {producer}'s samples arrived out of order"
-            );
-            next[producer] += 1;
-        }
-        assert!(next.iter().all(|&n| n == per_producer));
-    }
-
-    #[test]
-    fn fanin_merges_concurrent_producers_without_loss_or_reordering() {
-        // More producers than lanes, so the shared overflow lane is
-        // exercised alongside the exclusive ones; a parked consumer
-        // covers the notify handshake.
-        const PRODUCERS: usize = FANIN_LANES + 4;
-        const PER_PRODUCER: u64 = 2_000;
-        let q = ObsQueue::with_backend(64, QueueBackend::FanIn);
-        let notifier = Arc::new(WorkNotifier::new());
-        q.attach_notifier(Arc::clone(&notifier));
-        let out = std::thread::scope(|scope| {
-            let consumer_q = q.clone();
-            let consumer_n = Arc::clone(&notifier);
-            let consumer = scope.spawn(move || {
-                let mut out = Vec::new();
-                loop {
-                    while consumer_q.drain_into(&mut out, 32) > 0 {}
-                    match consumer_n.wait() {
-                        Wakeup::Work => continue,
-                        Wakeup::Shutdown => break,
-                    }
-                }
-                while consumer_q.drain_into(&mut out, 32) > 0 {}
-                out
-            });
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let producer = q.clone();
-                    scope.spawn(move || {
-                        for i in 0..PER_PRODUCER {
-                            producer.push_blocking(p as f64 * 1e6 + i as f64);
-                        }
-                    })
-                })
-                .collect();
-            for handle in producers {
-                handle.join().unwrap();
-            }
-            notifier.shutdown();
-            consumer.join().unwrap()
-        });
-        assert_merged(&out, PRODUCERS, PER_PRODUCER, 1e6);
-        assert_eq!(q.accepted(), PRODUCERS as u64 * PER_PRODUCER);
-        assert_eq!(q.dropped(), 0, "blocking producers never drop");
-    }
-
-    #[test]
-    fn fanin_batched_producers_merge_deterministically_per_producer() {
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: u64 = 10_000;
-        let q = ObsQueue::with_backend(128, QueueBackend::FanIn);
-        let out = std::thread::scope(|scope| {
-            let consumer_q = q.clone();
-            let consumer = scope.spawn(move || {
-                let mut out = Vec::new();
-                while (out.len() as u64) < PRODUCERS as u64 * PER_PRODUCER {
-                    if consumer_q.drain_into(&mut out, 48) == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                out
-            });
-            for p in 0..PRODUCERS {
-                let producer = q.clone();
-                scope.spawn(move || {
-                    let mut i = 0u64;
-                    while i < PER_PRODUCER {
-                        let n = 37.min(PER_PRODUCER - i);
-                        let batch: Vec<(f64, f64)> = (i..i + n)
-                            .map(|k| (p as f64 * 1e6 + k as f64, UNTIMED))
-                            .collect();
-                        producer.push_batch_blocking(batch);
-                        i += n;
-                    }
-                });
-            }
-            consumer.join().unwrap()
-        });
-        assert_merged(&out, PRODUCERS, PER_PRODUCER, 1e6);
+        assert_eq!(q.accepted(), N);
         assert_eq!(q.dropped(), 0);
     }
 
     #[test]
-    fn fanin_accounts_drops_exactly_under_concurrent_lossy_producers() {
-        const PRODUCERS: usize = 6;
-        const PER_PRODUCER: u64 = 5_000;
-        let q = ObsQueue::with_backend(32, QueueBackend::FanIn);
-        let drained = std::sync::atomic::AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
+    fn threaded_batched_producer_keeps_fifo_and_loses_nothing() {
+        let q = ObsQueue::bounded(64);
+        let producer = q.clone();
+        const N: u64 = 50_000;
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut out = Vec::new();
-                while !stop.load(Ordering::Relaxed) || !q.is_empty() {
-                    out.clear();
-                    if q.drain_into(&mut out, 16) == 0 {
-                        std::thread::yield_now();
-                    }
-                    drained.fetch_add(out.len() as u64, Ordering::Relaxed);
+            scope.spawn(move || {
+                let mut i = 0u64;
+                while i < N {
+                    let n = (N - i).min(37);
+                    let batch: Vec<(f64, f64)> = (i..i + n).map(|k| (k as f64, UNTIMED)).collect();
+                    producer.push_batch_blocking(batch);
+                    i += n;
                 }
             });
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let producer = q.clone();
-                    scope.spawn(move || {
-                        for i in 0..PER_PRODUCER {
-                            producer.push(p as f64 * 1e6 + i as f64);
-                        }
-                    })
-                })
-                .collect();
-            for handle in producers {
-                handle.join().unwrap();
+            let mut seen = 0u64;
+            let mut batch = Vec::new();
+            let mut expected = 0.0;
+            while seen < N {
+                batch.clear();
+                let n = q.drain_into(&mut batch, 48);
+                for &(v, _) in &batch {
+                    assert_eq!(v, expected, "FIFO order must survive batching");
+                    expected += 1.0;
+                }
+                seen += n as u64;
+                if n == 0 {
+                    std::thread::yield_now();
+                }
             }
-            stop.store(true, Ordering::Relaxed);
         });
-        let sent = PRODUCERS as u64 * PER_PRODUCER;
-        assert_eq!(
-            q.accepted() + q.dropped(),
-            sent,
-            "every push was either accepted or counted as a drop"
-        );
-        assert_eq!(
-            drained.load(Ordering::Relaxed),
-            q.accepted(),
-            "every accepted sample was drained exactly once"
-        );
+        assert_eq!(q.accepted(), N);
+        assert_eq!(q.dropped(), 0);
     }
 
     #[test]
     fn backlog_hint_tracks_occupancy_when_quiescent() {
-        for_each_backend(8, |q| {
-            assert_eq!(q.backlog_hint(), 0);
-            for v in 0..5 {
-                q.push(v as f64);
-            }
-            assert_eq!(q.backlog_hint(), 5, "{}", q.backend());
-            let mut out = Vec::new();
-            q.drain_into(&mut out, 3);
-            assert_eq!(q.backlog_hint(), 2, "{}", q.backend());
-            q.drain_into(&mut out, usize::MAX);
-            assert_eq!(q.backlog_hint(), 0, "{}", q.backend());
-        });
+        let q = ObsQueue::bounded(8);
+        assert_eq!(q.backlog_hint(), 0);
+        for v in 0..5 {
+            q.push(v as f64);
+        }
+        assert_eq!(q.backlog_hint(), 5);
+        let mut out = Vec::new();
+        q.drain_into(&mut out, 3);
+        assert_eq!(q.backlog_hint(), 2);
+        q.drain_into(&mut out, usize::MAX);
+        assert_eq!(q.backlog_hint(), 0);
     }
 
     /// Regression: a producer parked inside `push_batch_blocking` on a
@@ -1994,154 +833,131 @@ mod tests {
     /// occupancy, so the wake was lost and join hung.
     #[test]
     fn shutdown_wakes_a_parked_batch_producer() {
-        for_each_backend(4, |q| {
-            for v in 0..4 {
-                q.push(v as f64);
-            }
-            let producer = q.clone();
-            let pushed = std::thread::scope(|scope| {
-                let handle = scope.spawn(move || {
-                    let batch: Vec<(f64, f64)> =
-                        (0..8).map(|k| (100.0 + k as f64, UNTIMED)).collect();
-                    producer.push_batch_blocking(batch)
-                });
-                // Wait until the producer has given up spinning and
-                // parked (parks are counted), then shut the queue down.
-                while q.waits() == 0 {
-                    std::thread::yield_now();
-                }
-                q.shutdown();
-                handle.join().unwrap()
+        let q = ObsQueue::bounded(4);
+        for v in 0..4 {
+            q.push(v as f64);
+        }
+        let producer = q.clone();
+        let pushed = std::thread::scope(|scope| {
+            let handle = scope.spawn(move || {
+                let batch: Vec<(f64, f64)> = (0..8).map(|k| (100.0 + k as f64, UNTIMED)).collect();
+                producer.push_batch_blocking(batch)
             });
-            assert!(q.is_shutdown(), "{}", q.backend());
-            assert!(
-                pushed < 8,
-                "{}: batch producer must return short on shutdown, pushed {pushed}",
-                q.backend()
-            );
+            // Wait until the producer has given up spinning and
+            // parked (parks are counted), then shut the queue down.
+            while q.waits() == 0 {
+                std::thread::yield_now();
+            }
+            q.shutdown();
+            handle.join().unwrap()
         });
+        assert!(q.is_shutdown());
+        assert!(
+            pushed < 8,
+            "batch producer must return short on shutdown, pushed {pushed}"
+        );
     }
 
     #[test]
     fn shutdown_wakes_a_parked_blocking_push_and_clear_rearms_it() {
-        for_each_backend(2, |q| {
-            q.push(1.0);
-            q.push(2.0);
-            let producer = q.clone();
-            let accepted = std::thread::scope(|scope| {
-                let handle = scope.spawn(move || producer.push_blocking(3.0));
-                while q.waits() == 0 {
-                    std::thread::yield_now();
-                }
-                q.shutdown();
-                handle.join().unwrap()
-            });
-            assert!(
-                !accepted,
-                "{}: shutdown while full must refuse",
-                q.backend()
-            );
-            // The flag is sticky until cleared; once cleared (the pool
-            // does this on spawn) and space exists, blocking pushes
-            // work again.
-            q.clear_shutdown();
-            assert!(!q.is_shutdown());
-            let mut out = Vec::new();
-            q.drain_into(&mut out, usize::MAX);
-            assert!(q.push_blocking(4.0), "{}", q.backend());
+        let q = ObsQueue::bounded(2);
+        q.push(1.0);
+        q.push(2.0);
+        let producer = q.clone();
+        let accepted = std::thread::scope(|scope| {
+            let handle = scope.spawn(move || producer.push_blocking(3.0));
+            while q.waits() == 0 {
+                std::thread::yield_now();
+            }
+            q.shutdown();
+            handle.join().unwrap()
         });
+        assert!(!accepted, "shutdown while full must refuse");
+        // The flag is sticky until cleared; once cleared (the pool
+        // does this on spawn) and space exists, blocking pushes
+        // work again.
+        q.clear_shutdown();
+        assert!(!q.is_shutdown());
+        let mut out = Vec::new();
+        q.drain_into(&mut out, usize::MAX);
+        assert!(q.push_blocking(4.0));
     }
 
     #[test]
     fn dlq_captures_overflow_instead_of_dropping() {
-        for_each_backend(2, |q| {
-            q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 3)));
-            // 2 fit, 3 dead-letter, 1 overflows the DLQ itself.
-            let mut offered = 0u64;
-            for v in 0..6 {
-                q.push(v as f64);
-                offered += 1;
-            }
-            let stats = q.dlq().unwrap().stats();
-            assert_eq!(
-                q.dropped(),
-                0,
-                "{}: a DLQ means no silent drops",
-                q.backend()
-            );
-            assert_eq!((stats.pending, stats.captured, stats.overflow), (3, 3, 1));
-            assert_eq!(
-                q.accepted() + stats.pending as u64 + stats.overflow,
-                offered,
-                "{}: every offered sample is accounted for",
-                q.backend()
-            );
-        });
+        let q = ObsQueue::bounded(2);
+        q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 3)));
+        // 2 fit, 3 dead-letter, 1 overflows the DLQ itself.
+        let mut offered = 0u64;
+        for v in 0..6 {
+            q.push(v as f64);
+            offered += 1;
+        }
+        let stats = q.dlq().unwrap().stats();
+        assert_eq!(q.dropped(), 0, "a DLQ means no silent drops");
+        assert_eq!((stats.pending, stats.captured, stats.overflow), (3, 3, 1));
+        assert_eq!(
+            q.accepted() + stats.pending as u64 + stats.overflow,
+            offered,
+            "every offered sample is accounted for"
+        );
     }
 
     #[test]
     fn pending_dead_letters_divert_pushes_even_with_queue_space() {
-        for_each_backend(2, |q| {
-            q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
-            q.push(1.0);
-            q.push(2.0);
-            q.push(3.0); // full -> dead-lettered
-            let mut out = Vec::new();
-            q.drain_into(&mut out, usize::MAX); // frees all space
-                                                // The logical stream is queue ++ DLQ: while sample 3.0 is
-                                                // still pending, later pushes must line up behind it, not
-                                                // jump into the freed slots.
-            assert!(q.push(4.0), "{}", q.backend());
-            assert_eq!(q.len(), 0, "{}: push diverted to the DLQ", q.backend());
-            assert_eq!(values(&q.dlq().unwrap().contents()), vec![3.0, 4.0]);
-            // Batch pushes divert the same way.
-            assert_eq!(q.push_batch(vec![(5.0, UNTIMED)]), 1);
-            assert_eq!(q.dlq().unwrap().pending(), 3, "{}", q.backend());
-        });
+        let q = ObsQueue::bounded(2);
+        q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
+        q.push(1.0);
+        q.push(2.0);
+        q.push(3.0); // full -> dead-lettered
+        let mut out = Vec::new();
+        q.drain_into(&mut out, usize::MAX); // frees all space
+                                            // The logical stream is queue ++ DLQ: while sample 3.0 is
+                                            // still pending, later pushes must line up behind it, not
+                                            // jump into the freed slots.
+        assert!(q.push(4.0));
+        assert_eq!(q.len(), 0, "push diverted to the DLQ");
+        assert_eq!(values(&q.dlq().unwrap().contents()), vec![3.0, 4.0]);
+        // Batch pushes divert the same way.
+        assert_eq!(q.push_batch(vec![(5.0, UNTIMED)]), 1);
+        assert_eq!(q.dlq().unwrap().pending(), 3);
     }
 
     #[test]
     fn replay_moves_dead_letters_fifo_bounded_by_free_space() {
-        for_each_backend(2, |q| {
-            q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
-            for v in 0..5 {
-                q.push(v as f64); // 0,1 queued; 2,3,4 dead-lettered
-            }
-            let mut out = Vec::new();
-            q.drain_into(&mut out, usize::MAX);
-            assert_eq!(values(&out), vec![0.0, 1.0]);
-            // Space for two: replay moves exactly the two oldest.
-            assert_eq!(q.replay_dead_letters(), 2, "{}", q.backend());
-            q.drain_into(&mut out, usize::MAX);
-            assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
-            assert_eq!(q.replay_dead_letters(), 1, "{}", q.backend());
-            q.drain_into(&mut out, usize::MAX);
-            assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-            let stats = q.dlq().unwrap().stats();
-            assert_eq!((stats.pending, stats.captured, stats.replayed), (0, 3, 3));
-            // After replay the accounting identity still balances:
-            // replayed samples moved from `pending` into `accepted`.
-            assert_eq!(q.accepted() + stats.overflow, 5);
-            assert_eq!(
-                q.replay_dead_letters(),
-                0,
-                "{}: nothing pending",
-                q.backend()
-            );
-        });
+        let q = ObsQueue::bounded(2);
+        q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
+        for v in 0..5 {
+            q.push(v as f64); // 0,1 queued; 2,3,4 dead-lettered
+        }
+        let mut out = Vec::new();
+        q.drain_into(&mut out, usize::MAX);
+        assert_eq!(values(&out), vec![0.0, 1.0]);
+        // Space for two: replay moves exactly the two oldest.
+        assert_eq!(q.replay_dead_letters(), 2);
+        q.drain_into(&mut out, usize::MAX);
+        assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(q.replay_dead_letters(), 1);
+        q.drain_into(&mut out, usize::MAX);
+        assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        let stats = q.dlq().unwrap().stats();
+        assert_eq!((stats.pending, stats.captured, stats.replayed), (0, 3, 3));
+        // After replay the accounting identity still balances:
+        // replayed samples moved from `pending` into `accepted`.
+        assert_eq!(q.accepted() + stats.overflow, 5);
+        assert_eq!(q.replay_dead_letters(), 0, "nothing pending");
     }
 
     #[test]
     fn batch_push_splits_between_queue_and_dlq() {
-        for_each_backend(2, |q| {
-            q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 2)));
-            let batch: Vec<(f64, f64)> = (0..6).map(|v| (v as f64, UNTIMED)).collect();
-            // 2 queued + 2 captured = 4 kept; 2 are DLQ overflow.
-            assert_eq!(q.push_batch(batch), 4, "{}", q.backend());
-            assert_eq!(q.dropped(), 0, "{}", q.backend());
-            let stats = q.dlq().unwrap().stats();
-            assert_eq!((stats.pending, stats.overflow), (2, 2));
-        });
+        let q = ObsQueue::bounded(2);
+        q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 2)));
+        let batch: Vec<(f64, f64)> = (0..6).map(|v| (v as f64, UNTIMED)).collect();
+        // 2 queued + 2 captured = 4 kept; 2 are DLQ overflow.
+        assert_eq!(q.push_batch(batch), 4);
+        assert_eq!(q.dropped(), 0);
+        let stats = q.dlq().unwrap().stats();
+        assert_eq!((stats.pending, stats.overflow), (2, 2));
     }
 
     #[test]

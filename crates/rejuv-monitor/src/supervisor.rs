@@ -38,7 +38,7 @@ use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
 use crate::event::{EventLog, MonitorEvent};
 use crate::metrics::{Histogram, MetricsRegistry, MetricsReport};
-use crate::queue::{ObsQueue, QueueBackend, UNTIMED};
+use crate::queue::{ObsQueue, UNTIMED};
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
 use rejuv_sim::{Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
@@ -86,25 +86,12 @@ pub struct SupervisorConfig {
     /// Checkpoint cadence: emit a [`MonitorEvent::Snapshot`] every this
     /// many processed observations per shard (`None` disables).
     pub snapshot_every: Option<u64>,
-    /// Which [`QueueBackend`] each shard's ingestion queue runs on.
-    /// Purely an execution-strategy knob: digests, reports and replays
-    /// are bitwise identical across backends.
-    pub backend: QueueBackend,
-    /// How many consumer threads a [`crate::ConsumerThread`] (backed by
-    /// a [`crate::ConsumerPool`]) spawns to drain the shards. Another
-    /// pure execution-strategy knob: whole-shard ownership keeps
-    /// per-shard FIFO order, so digests, traces and checkpoints are
-    /// bitwise identical across consumer counts. Default 1.
+    /// How many consumer threads a [`crate::ConsumerPool`] spawns to
+    /// drain the shards. A pure execution-strategy knob: whole-shard
+    /// ownership keeps per-shard FIFO order, so digests, traces and
+    /// checkpoints are bitwise identical across consumer counts.
+    /// Default 1.
     pub consumers: usize,
-    /// Debug knob: drain with the per-sample reference loop (one
-    /// virtual `observe` call, digest fold and histogram bucket search
-    /// per observation) instead of the batch kernel
-    /// ([`rejuv_core::RejuvenationDetector::observe_batch`] plus bulk
-    /// histogram recording). The two paths are bitwise-identical in
-    /// every artifact — digests, traces, reports, checkpoints — which
-    /// is exactly why this flag exists: flipping it is a one-flag A/B
-    /// that CI `cmp`s. Default `false` (batch kernel).
-    pub scalar_drain: bool,
 }
 
 impl Default for SupervisorConfig {
@@ -113,9 +100,7 @@ impl Default for SupervisorConfig {
             queue_capacity: 8_192,
             drain_batch: 512,
             snapshot_every: None,
-            backend: QueueBackend::Mutex,
             consumers: 1,
-            scalar_drain: false,
         }
     }
 }
@@ -245,8 +230,7 @@ fn fnv1a(mut digest: u64, bytes: &[u8]) -> u64 {
 /// instead of nine: the digest is an inherently serial dependency
 /// chain, and at nine multiplies it *was* the drain plane's critical
 /// path, capping both drain kernels well below what the detector and
-/// histogram work costs. Both the scalar and the batch drain use this
-/// same fold, so the A/B byte-equality contract is unaffected.
+/// histogram work costs.
 #[inline]
 fn fold_sample(digest: u64, value_bits: u64, fired: bool) -> u64 {
     let digest = (digest ^ value_bits).wrapping_mul(FNV_PRIME);
@@ -254,17 +238,6 @@ fn fold_sample(digest: u64, value_bits: u64, fired: bool) -> u64 {
 }
 
 impl Shard {
-    fn apply(&mut self, value: f64) -> Decision {
-        let decision = self.detector.observe(value);
-        self.processed += 1;
-        self.digest = fold_sample(self.digest, value.to_bits(), decision.is_rejuvenate());
-        if decision.is_rejuvenate() {
-            self.rejuvenations += 1;
-        }
-        self.last_decision = decision;
-        decision
-    }
-
     /// This shard's slice of a [`SupervisorSnapshot`]; `None` when the
     /// detector does not support snapshots.
     pub(crate) fn snapshot_view(&self) -> Option<ShardSnapshot> {
@@ -338,9 +311,9 @@ impl DrainScratch {
 /// [`RejuvenationDetector::observe_batch`] call per drained batch, the
 /// decision digest folded from the returned fire list, bulk
 /// [`Histogram::record_slice`] for the value/latency histograms and a
-/// vectorized timestamp-diff pass. `config.scalar_drain` selects the
-/// per-sample reference loop instead; both produce bitwise-identical
-/// shard state (digest, counters, histograms) and identical events.
+/// vectorized timestamp-diff pass. A detector without a batch kernel
+/// inherits the default per-sample `observe_batch` loop and yields the
+/// same shard state bit for bit (`tests/batch_scalar_equivalence.rs`).
 pub(crate) fn drain_shard(
     index: usize,
     shard: &mut Shard,
@@ -380,114 +353,92 @@ pub(crate) fn drain_shard(
     }
     scratch.fired.clear();
     let fired = &mut scratch.fired;
-    if config.scalar_drain {
-        // Reference path: one virtual dispatch, digest fold and bucket
-        // search per sample. Kept selectable so the batch kernel below
-        // is always one flag away from an A/B byte comparison.
-        let mut last_at = shard.last_at;
-        for &(value, at) in batch.iter() {
-            let seq = shard.processed;
-            if shard.apply(value).is_rejuvenate() {
-                fired.push(seq);
-            }
-            if at.is_finite() {
-                if let Some(prev) = last_at {
-                    shard.latency_hist.record(at - prev);
+    // Batch kernel: one virtual call per drained sub-chunk instead
+    // of one per sample. The detector contract (`observe_batch` ≡
+    // per-sample `observe`, bitwise) lets every per-sample artifact
+    // be reconstructed from the fire list: the digest folds (value
+    // bits, decision byte) pairs by walking the ascending fired
+    // sequence numbers, and the counters/last-decision derive from
+    // its length and tail.
+    // The batch is processed in small sub-chunks, each one kernel
+    // call followed by one fused digest/histogram/latency pass:
+    //
+    // * the FNV digest is a serial multiply-xor dependency chain,
+    //   so the (independent) bucket searches and timestamp diffs
+    //   run *inside* the same loop, filling the multiplier's
+    //   latency bubbles — a separate digest loop measurably costs
+    //   the batch path its whole win;
+    // * chunking keeps each kernel call and each fold short enough
+    //   that the out-of-order window can overlap chunk `k`'s fold
+    //   (latency-bound) with chunk `k+1`'s detector work
+    //   (throughput-bound), instead of serialising two long loops.
+    //
+    // Byte-for-byte the same digest, histograms and fire list as a
+    // per-sample `observe` loop: same fold order, same accumulation
+    // order, same subtraction per timed pair.
+    const DRAIN_CHUNK: usize = 32;
+    let all_values = &mut scratch.values;
+    all_values.clear();
+    all_values.extend(batch.iter().map(|&(v, _)| v));
+    let mut digest = shard.digest;
+    let mut next_fired = 0;
+    let mut last_at = shard.last_at;
+    let latency_hist = &mut shard.latency_hist;
+    let value_hist = &mut shard.value_hist;
+    let pairs = &batch[..];
+    let mut start = 0;
+    while start < pairs.len() {
+        let end = (start + DRAIN_CHUNK).min(pairs.len());
+        let values = &all_values[start..end];
+        shard
+            .detector
+            .observe_batch(values, fired, seq_start + start as u64);
+        // Each chunk's kernel appends only sequence numbers inside
+        // that chunk, and each chunk's fold consumes exactly those
+        // — so `next_fired == fired.len()` on entry means this
+        // chunk fired nothing, and the fold can drop the per-sample
+        // fired compare and sequence arithmetic. Rejuvenations are
+        // rare, so this is the overwhelmingly common shape.
+        if next_fired == fired.len() {
+            value_hist.record_slice_with(values, |i, value| {
+                digest = fold_sample(digest, value.to_bits(), false);
+                // Untimed producers (`at = NaN`) cost one
+                // predictable branch here.
+                let at = pairs[start + i].1;
+                if at.is_finite() {
+                    if let Some(prev) = last_at {
+                        latency_hist.record(at - prev);
+                    }
+                    last_at = Some(at);
                 }
-                last_at = Some(at);
-            }
-            shard.value_hist.record(value);
-        }
-        shard.last_at = last_at;
-    } else {
-        // Batch kernel: one virtual call per drained sub-chunk instead
-        // of one per sample. The detector contract (`observe_batch` ≡
-        // per-sample `observe`, bitwise) lets every per-sample artifact
-        // be reconstructed from the fire list: the digest folds (value
-        // bits, decision byte) pairs by walking the ascending fired
-        // sequence numbers, and the counters/last-decision derive from
-        // its length and tail.
-        // The batch is processed in small sub-chunks, each one kernel
-        // call followed by one fused digest/histogram/latency pass:
-        //
-        // * the FNV digest is a serial multiply-xor dependency chain,
-        //   so the (independent) bucket searches and timestamp diffs
-        //   run *inside* the same loop, filling the multiplier's
-        //   latency bubbles — a separate digest loop measurably costs
-        //   the batch path its whole win;
-        // * chunking keeps each kernel call and each fold short enough
-        //   that the out-of-order window can overlap chunk `k`'s fold
-        //   (latency-bound) with chunk `k+1`'s detector work
-        //   (throughput-bound), instead of serialising two long loops.
-        //
-        // Byte-for-byte the same digest, histograms and fire list as
-        // the scalar path: same fold order, same accumulation order,
-        // same subtraction per timed pair.
-        const DRAIN_CHUNK: usize = 32;
-        let all_values = &mut scratch.values;
-        all_values.clear();
-        all_values.extend(batch.iter().map(|&(v, _)| v));
-        let mut digest = shard.digest;
-        let mut next_fired = 0;
-        let mut last_at = shard.last_at;
-        let latency_hist = &mut shard.latency_hist;
-        let value_hist = &mut shard.value_hist;
-        let pairs = &batch[..];
-        let mut start = 0;
-        while start < pairs.len() {
-            let end = (start + DRAIN_CHUNK).min(pairs.len());
-            let values = &all_values[start..end];
-            shard
-                .detector
-                .observe_batch(values, fired, seq_start + start as u64);
-            // Each chunk's kernel appends only sequence numbers inside
-            // that chunk, and each chunk's fold consumes exactly those
-            // — so `next_fired == fired.len()` on entry means this
-            // chunk fired nothing, and the fold can drop the per-sample
-            // fired compare and sequence arithmetic. Rejuvenations are
-            // rare, so this is the overwhelmingly common shape.
-            if next_fired == fired.len() {
-                value_hist.record_slice_with(values, |i, value| {
-                    digest = fold_sample(digest, value.to_bits(), false);
-                    // Untimed producers (`at = NaN`) cost one
-                    // predictable branch here.
-                    let at = pairs[start + i].1;
-                    if at.is_finite() {
-                        if let Some(prev) = last_at {
-                            latency_hist.record(at - prev);
-                        }
-                        last_at = Some(at);
-                    }
-                });
-            } else {
-                let fired_slice = &fired[..];
-                value_hist.record_slice_with(values, |i, value| {
-                    let seq = seq_start + (start + i) as u64;
-                    let fired_here =
-                        next_fired < fired_slice.len() && fired_slice[next_fired] == seq;
-                    next_fired += fired_here as usize;
-                    digest = fold_sample(digest, value.to_bits(), fired_here);
-                    let at = pairs[start + i].1;
-                    if at.is_finite() {
-                        if let Some(prev) = last_at {
-                            latency_hist.record(at - prev);
-                        }
-                        last_at = Some(at);
-                    }
-                });
-            }
-            start = end;
-        }
-        shard.digest = digest;
-        shard.last_at = last_at;
-        shard.processed += pairs.len() as u64;
-        shard.rejuvenations += fired.len() as u64;
-        shard.last_decision = if fired.last() == Some(&(shard.processed - 1)) {
-            Decision::Rejuvenate
+            });
         } else {
-            Decision::Continue
-        };
+            let fired_slice = &fired[..];
+            value_hist.record_slice_with(values, |i, value| {
+                let seq = seq_start + (start + i) as u64;
+                let fired_here = next_fired < fired_slice.len() && fired_slice[next_fired] == seq;
+                next_fired += fired_here as usize;
+                digest = fold_sample(digest, value.to_bits(), fired_here);
+                let at = pairs[start + i].1;
+                if at.is_finite() {
+                    if let Some(prev) = last_at {
+                        latency_hist.record(at - prev);
+                    }
+                    last_at = Some(at);
+                }
+            });
+        }
+        start = end;
     }
+    shard.digest = digest;
+    shard.last_at = last_at;
+    shard.processed += pairs.len() as u64;
+    shard.rejuvenations += fired.len() as u64;
+    shard.last_decision = if fired.last() == Some(&(shard.processed - 1)) {
+        Decision::Rejuvenate
+    } else {
+        Decision::Continue
+    };
     shard.batch_hist.record(batch.len() as f64);
     fp!("supervisor.drain-applied");
     if let Some(bus) = shard.bus.as_ref() {
@@ -650,9 +601,8 @@ impl ShardSender {
         self.queue.push_blocking(value)
     }
 
-    /// Offers a batch of `(value, at)` samples in one queue operation
-    /// (one lock acquisition on the mutex backend, one tail publish on
-    /// the ring), returning how many were accepted; the rest are
+    /// Offers a batch of `(value, at)` samples under one queue lock
+    /// acquisition, returning how many were accepted; the rest are
     /// counted as drops.
     pub fn send_batch<I>(&self, samples: I) -> usize
     where
@@ -1120,7 +1070,7 @@ impl Supervisor {
         self.shards.push(Shard {
             detector,
             spec,
-            queue: ObsQueue::with_backend(self.config.queue_capacity, self.config.backend),
+            queue: ObsQueue::bounded(self.config.queue_capacity),
             processed: 0,
             rejuvenations: 0,
             digest,

@@ -1,37 +1,85 @@
-//! Batch-kernel versus scalar-drain A/B suite.
+//! Batch-kernel versus per-sample equivalence suite.
 //!
-//! `SupervisorConfig::scalar_drain` routes `drain_shard` through the
-//! original per-sample loop instead of the batch kernels
-//! (`observe_batch` + bulk histogram records + the vectorised
-//! timestamp-diff pass). The knob is a debug/ablation switch, never a
-//! semantic one: these tests run the same preloaded workload through
-//! both paths — across every queue backend and consumer count, for a
-//! homogeneous SRAA fleet and the 4-kind example fleet — and require
-//! the event-log trace, the final report JSON, the final checkpoint
-//! JSON and every per-shard decision digest to match *byte for byte*.
+//! `drain_shard` hands every drained chunk to
+//! `RejuvenationDetector::observe_batch`. The in-crate detectors
+//! override it with batch kernels; the trait's default is the plain
+//! per-sample `observe` loop. [`PerSample`] wraps a detector and
+//! forwards everything *except* `observe_batch`, so the wrapped
+//! detector runs the default loop through the very same drain path.
+//! These tests run one preloaded workload both ways — across consumer
+//! counts, for a homogeneous SRAA fleet and the 4-kind example fleet,
+//! and over the synchronous path — and require the event-log trace,
+//! the final report JSON, the final checkpoint JSON and every per-shard
+//! decision digest to match *byte for byte*.
 //!
 //! Preloading (pushing every observation before the pool spawns) pins
 //! the drain-batch boundaries, so even the trace bytes are a pure
 //! function of the workload and the comparison is exact.
 
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{
+    Decision, DetectorSnapshot, RejuvenationDetector, SnapshotError, Sraa, SraaConfig,
+};
 use rejuv_monitor::{
-    ConsumerPool, EventLog, FleetConfig, QueueBackend, SharedBuffer, Supervisor, SupervisorConfig,
+    ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
 };
 use std::path::Path;
 
 const FLEET_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fleet.toml");
 const CONSUMER_COUNTS: [usize; 3] = [1, 2, 4];
-const BACKENDS: [QueueBackend; 3] = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn];
 
-fn config(backend: QueueBackend, consumers: usize, scalar_drain: bool) -> SupervisorConfig {
+/// A detector stripped of its batch kernel: every method but
+/// `observe_batch` forwards to the wrapped detector, so `observe_batch`
+/// is the trait's default per-sample loop.
+struct PerSample<D: ?Sized>(Box<D>);
+
+impl<D: RejuvenationDetector + ?Sized> RejuvenationDetector for PerSample<D> {
+    fn observe(&mut self, value: f64) -> Decision {
+        self.0.observe(value)
+    }
+
+    fn observe_at(&mut self, at_secs: f64, value: f64) -> Decision {
+        self.0.observe_at(at_secs, value)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn rejuvenation_count(&self) -> u64 {
+        self.0.rejuvenation_count()
+    }
+
+    fn snapshot(&self) -> Option<DetectorSnapshot> {
+        self.0.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &DetectorSnapshot) -> Result<(), SnapshotError> {
+        self.0.restore(snapshot)
+    }
+}
+
+/// Wraps `detector` in [`PerSample`] when `per_sample` is set.
+fn kernel(
+    detector: Box<dyn RejuvenationDetector>,
+    per_sample: bool,
+) -> Box<dyn RejuvenationDetector> {
+    if per_sample {
+        Box::new(PerSample(detector))
+    } else {
+        detector
+    }
+}
+
+fn config(consumers: usize) -> SupervisorConfig {
     SupervisorConfig {
         queue_capacity: 2_048,
         drain_batch: 16,
         snapshot_every: Some(100),
-        backend,
         consumers,
-        scalar_drain,
     }
 }
 
@@ -66,14 +114,10 @@ struct Artifacts {
 
 /// Preloads the full workload, drains it through a consumer pool, and
 /// collects the run's artefacts.
-fn pool_run<F>(build: F, shards: usize, per_shard: u64) -> Artifacts
-where
-    F: FnOnce() -> Supervisor,
-{
-    let mut sup = build();
+fn pool_run(mut sup: Supervisor, per_shard: u64) -> Artifacts {
     let buffer = SharedBuffer::new();
     sup.set_log(EventLog::new(Box::new(buffer.clone())));
-    for shard in 0..shards {
+    for shard in 0..sup.shard_count() {
         let sender = sup.sender(shard);
         for i in 0..per_shard {
             assert!(
@@ -82,8 +126,9 @@ where
             );
         }
     }
-    let pool = ConsumerPool::spawn(sup);
-    let joined = pool.join().expect("pool drains cleanly");
+    let joined = ConsumerPool::spawn(sup)
+        .join()
+        .expect("pool drains cleanly");
     let mut sup = joined
         .supervisor
         .expect("owned pool returns the supervisor");
@@ -101,78 +146,72 @@ where
     }
 }
 
-/// Runs every `{backend, consumer-count}` cell twice — batch kernel and
-/// scalar drain — and requires the pairs to agree byte for byte.
-fn kernel_ab_is_byte_identical<F>(build: F, shards: usize, per_shard: u64)
-where
-    F: Fn(SupervisorConfig) -> Supervisor,
-{
-    for backend in BACKENDS {
-        for consumers in CONSUMER_COUNTS {
-            let batch = pool_run(
-                || build(config(backend, consumers, false)),
-                shards,
-                per_shard,
-            );
-            let scalar = pool_run(
-                || build(config(backend, consumers, true)),
-                shards,
-                per_shard,
-            );
-            assert_eq!(
-                batch.digests, scalar.digests,
-                "{backend} x{consumers}: batch kernel and scalar drain digests diverged"
-            );
-            assert_eq!(
-                batch.trace, scalar.trace,
-                "{backend} x{consumers}: trace bytes diverged between kernels"
-            );
-            assert_eq!(
-                batch.report, scalar.report,
-                "{backend} x{consumers}: report bytes diverged between kernels"
-            );
-            assert_eq!(
-                batch.checkpoint, scalar.checkpoint,
-                "{backend} x{consumers}: checkpoint bytes diverged between kernels"
-            );
-            assert!(
-                !batch.trace.is_empty(),
-                "the workload must actually record events"
-            );
-        }
+/// Runs every consumer count twice — batch kernels and [`PerSample`]
+/// wrapped detectors — and requires the pairs to agree byte for byte.
+/// `build(consumers, per_sample)` assembles the fleet.
+fn kernel_ab_is_byte_identical(build: impl Fn(usize, bool) -> Supervisor, per_shard: u64) {
+    for consumers in CONSUMER_COUNTS {
+        let batch = pool_run(build(consumers, false), per_shard);
+        let per_sample = pool_run(build(consumers, true), per_shard);
+        assert_eq!(
+            batch.digests, per_sample.digests,
+            "x{consumers}: batch kernel and per-sample digests diverged"
+        );
+        assert_eq!(
+            batch.trace, per_sample.trace,
+            "x{consumers}: trace bytes diverged between kernels"
+        );
+        assert_eq!(
+            batch.report, per_sample.report,
+            "x{consumers}: report bytes diverged between kernels"
+        );
+        assert_eq!(
+            batch.checkpoint, per_sample.checkpoint,
+            "x{consumers}: checkpoint bytes diverged between kernels"
+        );
+        assert!(
+            !batch.trace.is_empty(),
+            "the workload must actually record events"
+        );
     }
 }
 
 #[test]
-fn homogeneous_fleet_batch_and_scalar_drain_agree() {
+fn homogeneous_fleet_batch_and_per_sample_agree() {
     kernel_ab_is_byte_identical(
-        |config| Supervisor::with_shards(config, 5, |_| sraa()),
-        5,
+        |consumers, per_sample| {
+            Supervisor::with_shards(config(consumers), 5, |_| kernel(sraa(), per_sample))
+        },
         600,
     );
 }
 
 #[test]
-fn mixed_fleet_batch_and_scalar_drain_agree() {
+fn mixed_fleet_batch_and_per_sample_agree() {
     let fleet = FleetConfig::load(Path::new(FLEET_PATH)).expect("example fleet parses");
-    let shards = fleet.shard_count();
-    assert!(shards >= 4, "the example fleet mixes four detector kinds");
+    let specs = fleet.specs();
+    assert!(
+        specs.len() >= 4,
+        "the example fleet mixes four detector kinds"
+    );
     kernel_ab_is_byte_identical(
-        move |config| Supervisor::with_specs(config, fleet.specs()).expect("fleet builds"),
-        shards,
+        |consumers, per_sample| {
+            Supervisor::with_shards(config(consumers), specs.len(), |i| {
+                kernel(specs[i].build().expect("fleet builds"), per_sample)
+            })
+        },
         500,
     );
 }
 
 /// The synchronous ingest/poll path (no pool, no threads) must also be
 /// kernel-agnostic: `process_sync` drains through the same
-/// `drain_shard`, so flipping `scalar_drain` may not move a single
-/// digest bit or decision.
+/// `drain_shard`, so swapping in per-sample detectors may not move a
+/// single digest bit or decision.
 #[test]
-fn sync_path_batch_and_scalar_drain_agree() {
-    let run = |scalar_drain: bool| {
-        let mut sup =
-            Supervisor::with_shards(config(QueueBackend::Mutex, 1, scalar_drain), 3, |_| sraa());
+fn sync_path_batch_and_per_sample_agree() {
+    let run = |per_sample: bool| {
+        let mut sup = Supervisor::with_shards(config(1), 3, |_| kernel(sraa(), per_sample));
         let mut fired = Vec::new();
         for i in 0..2_000u64 {
             for shard in 0..3 {
@@ -197,9 +236,12 @@ fn sync_path_batch_and_scalar_drain_agree() {
         )
     };
     let (batch_fired, batch_report) = run(false);
-    let (scalar_fired, scalar_report) = run(true);
-    assert_eq!(batch_fired, scalar_fired, "sync decisions diverged");
-    assert_eq!(batch_report, scalar_report, "sync report bytes diverged");
+    let (per_sample_fired, per_sample_report) = run(true);
+    assert_eq!(batch_fired, per_sample_fired, "sync decisions diverged");
+    assert_eq!(
+        batch_report, per_sample_report,
+        "sync report bytes diverged"
+    );
     assert!(
         !batch_fired.is_empty(),
         "workload must trigger rejuvenations"

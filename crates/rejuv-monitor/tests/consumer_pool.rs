@@ -2,10 +2,8 @@
 //!
 //! Consumer count is an execution-strategy knob, never a semantic one:
 //! for the same workload, the drain plane must produce byte-identical
-//! artefacts no matter how many worker threads drained the shards or
-//! which queue backend carried the observations. These tests run the
-//! full `{1, 2, 4, 8} consumers x {mutex, ring, fanin} backends` grid
-//! over a preloaded deterministic workload — once for a homogeneous
+//! artefacts no matter how many worker threads drained the shards.
+//! These tests run the `{1, 2, 4, 8}` consumer grid over a preloaded deterministic workload — once for a homogeneous
 //! SRAA fleet and once for the 4-kind example fleet — and require the
 //! event-log trace, the final report JSON, the final checkpoint JSON
 //! and every per-shard decision digest to match the serial reference
@@ -19,22 +17,19 @@
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
 use rejuv_monitor::{
-    ConsumerPool, EventLog, FleetConfig, QueueBackend, SharedBuffer, Supervisor, SupervisorConfig,
+    ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
 };
 use std::path::Path;
 
 const FLEET_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fleet.toml");
 const CONSUMER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const BACKENDS: [QueueBackend; 3] = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn];
 
-fn config(backend: QueueBackend, consumers: usize) -> SupervisorConfig {
+fn config(consumers: usize) -> SupervisorConfig {
     SupervisorConfig {
         queue_capacity: 2_048,
         drain_batch: 16,
         snapshot_every: Some(100),
-        backend,
         consumers,
-        scalar_drain: false,
     }
 }
 
@@ -131,44 +126,41 @@ where
     )
 }
 
-/// Runs the full consumer-count x backend grid for one fleet shape and
+/// Runs the full consumer-count grid for one fleet shape and
 /// checks every artefact against both the serial reference and the
 /// first grid cell.
 fn grid_is_byte_identical<F>(build: F, shards: usize, per_shard: u64)
 where
     F: Fn(SupervisorConfig) -> Supervisor,
 {
-    let (serial_report, serial_digests) =
-        serial_reference(|| build(config(QueueBackend::Mutex, 1)), shards, per_shard);
+    let (serial_report, serial_digests) = serial_reference(|| build(config(1)), shards, per_shard);
 
     let mut baseline: Option<Artifacts> = None;
-    for backend in BACKENDS {
-        for consumers in CONSUMER_COUNTS {
-            let artifacts = pool_run(|| build(config(backend, consumers)), shards, per_shard);
-            assert_eq!(
-                artifacts.digests, serial_digests,
-                "{backend} x{consumers}: digests diverged from the serial reference"
-            );
-            assert_eq!(
-                artifacts.report, serial_report,
-                "{backend} x{consumers}: report diverged from the serial reference"
-            );
-            match &baseline {
-                None => baseline = Some(artifacts),
-                Some(first) => {
-                    assert_eq!(
-                        artifacts.trace, first.trace,
-                        "{backend} x{consumers}: trace bytes diverged from mutex x1"
-                    );
-                    assert_eq!(
-                        artifacts.report, first.report,
-                        "{backend} x{consumers}: report bytes diverged from mutex x1"
-                    );
-                    assert_eq!(
-                        artifacts.checkpoint, first.checkpoint,
-                        "{backend} x{consumers}: checkpoint bytes diverged from mutex x1"
-                    );
-                }
+    for consumers in CONSUMER_COUNTS {
+        let artifacts = pool_run(|| build(config(consumers)), shards, per_shard);
+        assert_eq!(
+            artifacts.digests, serial_digests,
+            "x{consumers}: digests diverged from the serial reference"
+        );
+        assert_eq!(
+            artifacts.report, serial_report,
+            "x{consumers}: report diverged from the serial reference"
+        );
+        match &baseline {
+            None => baseline = Some(artifacts),
+            Some(first) => {
+                assert_eq!(
+                    artifacts.trace, first.trace,
+                    "x{consumers}: trace bytes diverged from x1"
+                );
+                assert_eq!(
+                    artifacts.report, first.report,
+                    "x{consumers}: report bytes diverged from x1"
+                );
+                assert_eq!(
+                    artifacts.checkpoint, first.checkpoint,
+                    "x{consumers}: checkpoint bytes diverged from x1"
+                );
             }
         }
     }

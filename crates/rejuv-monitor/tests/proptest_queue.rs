@@ -1,23 +1,19 @@
-//! Backend conformance for [`ObsQueue`]: the lock-free ring, the
-//! fan-in ring and the mutex queue must be observationally identical.
+//! Model conformance for [`ObsQueue`]: the queue must behave exactly
+//! like a bounded `VecDeque` of the same logical capacity.
 //!
-//! Property tests drive all backends through the same arbitrary
-//! sequence of push / batch-push / blocking-push / drain operations and
-//! require identical drained `(value, at)` sequences, accept/drop
-//! counts and lengths at every step — the contract that makes
-//! `--queue` a pure execution-strategy knob (digests, reports and
-//! replays cannot diverge if the drained sequences cannot). A second
-//! property pins batch pushes to the same semantics as repeated single
-//! pushes. Threaded tests then cover what single-threaded determinism
-//! cannot: loss-free shutdown drains through a [`ConsumerThread`] and
-//! per-shard supervisor digest equality across backends under real
-//! producer/consumer concurrency.
+//! Property tests drive the queue and the reference model through the
+//! same arbitrary sequence of push / batch-push / blocking-push / drain
+//! operations and require the same accepted prefixes, drained
+//! `(value, at)` sequences, accept/drop/wait counts and lengths at
+//! every step. Threaded tests then cover what single-threaded
+//! determinism cannot: loss-free shutdown drains through a parked
+//! consumer pool and per-shard supervisor digests equal to a serial
+//! reference under real producer/consumer concurrency.
 
 use proptest::prelude::*;
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-use rejuv_monitor::{
-    ConsumerThread, ObsQueue, QueueBackend, Supervisor, SupervisorConfig, WorkNotifier,
-};
+use rejuv_monitor::{ConsumerPool, ObsQueue, Supervisor, SupervisorConfig, WorkNotifier};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One step of the deterministic interleaving.
@@ -29,8 +25,8 @@ enum Op {
     PushBatch(Vec<f64>),
     /// `push_blocking_at`, with the single-threaded convention that a
     /// full queue is first relieved by draining one sample (applied
-    /// identically to both backends, so blocking never deadlocks the
-    /// test and the op still exercises the blocking entry points).
+    /// identically to queue and model, so blocking never deadlocks the
+    /// test and the op still exercises the blocking entry point).
     PushBlocking(f64, f64),
     /// `drain_into` with the given batch limit.
     Drain(usize),
@@ -45,100 +41,144 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies one op to a queue, appending whatever it drains to `out`.
-fn apply(q: &ObsQueue, op: &Op, out: &mut Vec<(f64, f64)>) {
-    match op {
-        Op::Push(v, at) => {
-            q.push_at(*v, *at);
+/// The reference: a bounded FIFO with the queue's accounting.
+struct Model {
+    buf: VecDeque<(f64, f64)>,
+    capacity: usize,
+    accepted: u64,
+    dropped: u64,
+}
+
+impl Model {
+    fn new(capacity: usize) -> Self {
+        Model {
+            buf: VecDeque::new(),
+            capacity,
+            accepted: 0,
+            dropped: 0,
         }
+    }
+
+    /// Accepts the leading samples that fit; counts the rest as drops.
+    fn push_batch(&mut self, samples: &[(f64, f64)]) -> usize {
+        let take = samples.len().min(self.capacity - self.buf.len());
+        self.buf.extend(&samples[..take]);
+        self.accepted += take as u64;
+        self.dropped += (samples.len() - take) as u64;
+        take
+    }
+
+    fn drain_into(&mut self, out: &mut Vec<(f64, f64)>, max: usize) {
+        let take = self.buf.len().min(max);
+        out.extend(self.buf.drain(..take));
+    }
+}
+
+/// Applies one op to the queue and the model, returning how many
+/// samples each accepted.
+fn apply(
+    q: &ObsQueue,
+    model: &mut Model,
+    op: &Op,
+    out_q: &mut Vec<(f64, f64)>,
+    out_m: &mut Vec<(f64, f64)>,
+) -> (usize, usize) {
+    match op {
+        Op::Push(v, at) => (
+            usize::from(q.push_at(*v, *at)),
+            model.push_batch(&[(*v, *at)]),
+        ),
         Op::PushBatch(values) => {
-            q.push_batch(values.iter().map(|&v| (v, v * 0.5)));
+            let samples: Vec<(f64, f64)> = values.iter().map(|&v| (v, v * 0.5)).collect();
+            (
+                q.push_batch(samples.iter().copied()),
+                model.push_batch(&samples),
+            )
         }
         Op::PushBlocking(v, at) => {
             if q.len() == q.capacity() {
-                q.drain_into(out, 1);
+                q.drain_into(out_q, 1);
             }
-            q.push_blocking_at(*v, *at);
+            if model.buf.len() == model.capacity {
+                model.drain_into(out_m, 1);
+            }
+            (
+                usize::from(q.push_blocking_at(*v, *at)),
+                model.push_batch(&[(*v, *at)]),
+            )
         }
         Op::Drain(max) => {
-            q.drain_into(out, *max);
+            q.drain_into(out_q, *max);
+            model.drain_into(out_m, *max);
+            (0, 0)
         }
     }
 }
 
+/// Bitwise view, so NaN timestamps compare equal too.
+fn bits(s: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    s.iter()
+        .map(|&(v, at)| (v.to_bits(), at.to_bits()))
+        .collect()
+}
+
 proptest! {
     /// Any single-threaded interleaving of pushes, batch pushes,
-    /// blocking pushes and drains leaves both backends in agreement:
-    /// same drained samples (values *and* timestamps, bit-for-bit),
-    /// same accept/drop accounting, same occupancy after every step.
+    /// blocking pushes and drains leaves queue and model in agreement:
+    /// same accepted prefix per op, same occupancy after every step,
+    /// same drained samples (values *and* timestamps, bit-for-bit) and
+    /// same accept/drop/wait accounting.
     #[test]
-    fn backends_agree_on_arbitrary_interleavings(
+    fn queue_matches_model_on_arbitrary_interleavings(
         capacity in 1usize..10,
         ops in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let mutex = ObsQueue::with_backend(capacity, QueueBackend::Mutex);
-        let ring = ObsQueue::with_backend(capacity, QueueBackend::Ring);
-        let fanin = ObsQueue::with_backend(capacity, QueueBackend::FanIn);
-        let (mut out_m, mut out_r, mut out_f) = (Vec::new(), Vec::new(), Vec::new());
+        let q = ObsQueue::bounded(capacity);
+        let mut model = Model::new(capacity);
+        let (mut out_q, mut out_m) = (Vec::new(), Vec::new());
         for op in &ops {
-            apply(&mutex, op, &mut out_m);
-            apply(&ring, op, &mut out_r);
-            apply(&fanin, op, &mut out_f);
-            prop_assert_eq!(mutex.len(), ring.len());
-            prop_assert_eq!(mutex.len(), fanin.len());
+            let (took_q, took_m) = apply(&q, &mut model, op, &mut out_q, &mut out_m);
+            prop_assert_eq!(took_q, took_m, "accepted prefix of {:?}", op);
+            prop_assert_eq!(q.len(), model.buf.len());
         }
-        // Final drain: a shutdown must lose nothing on any backend.
-        mutex.drain_into(&mut out_m, usize::MAX);
-        ring.drain_into(&mut out_r, usize::MAX);
-        fanin.drain_into(&mut out_f, usize::MAX);
-        prop_assert!(mutex.is_empty() && ring.is_empty() && fanin.is_empty());
-        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            s.iter().map(|&(v, at)| (v.to_bits(), at.to_bits())).collect()
-        };
-        prop_assert_eq!(bits(&out_m), bits(&out_r));
-        prop_assert_eq!(bits(&out_m), bits(&out_f));
-        prop_assert_eq!(mutex.accepted(), ring.accepted());
-        prop_assert_eq!(mutex.dropped(), ring.dropped());
-        prop_assert_eq!(mutex.accepted(), fanin.accepted());
-        prop_assert_eq!(mutex.dropped(), fanin.dropped());
+        // Final drain: a shutdown must lose nothing.
+        q.drain_into(&mut out_q, usize::MAX);
+        model.drain_into(&mut out_m, usize::MAX);
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(bits(&out_q), bits(&out_m));
+        prop_assert_eq!(q.accepted(), model.accepted);
+        prop_assert_eq!(q.dropped(), model.dropped);
+        prop_assert_eq!(q.waits(), 0, "a queue relieved before blocking never parks");
         prop_assert_eq!(
-            out_m.len() as u64,
-            mutex.accepted(),
+            out_q.len() as u64,
+            q.accepted(),
             "every accepted sample was drained exactly once"
         );
     }
 
-    /// `push_batch` is exactly repeated `push_at`: same accepted
-    /// prefix, same drop count, same drained samples — on each backend.
+    /// `push_batch` on a partly filled queue accepts exactly the
+    /// model's prefix, counts exactly the model's drops, and drains
+    /// prefill-then-batch in order.
     #[test]
-    fn batch_push_equals_repeated_singles(
-        backend_pick in 0usize..3,
+    fn batch_push_matches_model(
         capacity in 1usize..10,
         prefill in 0usize..10,
         values in proptest::collection::vec(0.0f64..100.0, 0..20),
     ) {
-        let backend = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn][backend_pick];
-        let batched = ObsQueue::with_backend(capacity, backend);
-        let singles = ObsQueue::with_backend(capacity, backend);
+        let q = ObsQueue::bounded(capacity);
+        let mut model = Model::new(capacity);
         for i in 0..prefill.min(capacity) {
-            batched.push(i as f64);
-            singles.push(i as f64);
+            q.push(i as f64);
+            model.push_batch(&[(i as f64, f64::NAN)]);
         }
-        let accepted = batched.push_batch(values.iter().map(|&v| (v, v + 0.25)));
-        let mut accepted_singles = 0;
-        for &v in &values {
-            accepted_singles += usize::from(singles.push_at(v, v + 0.25));
-        }
-        prop_assert_eq!(accepted, accepted_singles);
-        prop_assert_eq!(batched.dropped(), singles.dropped());
-        let (mut out_b, mut out_s) = (Vec::new(), Vec::new());
-        batched.drain_into(&mut out_b, usize::MAX);
-        singles.drain_into(&mut out_s, usize::MAX);
-        // Bitwise: the NaN-timestamped prefill must compare equal too.
-        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            s.iter().map(|&(v, at)| (v.to_bits(), at.to_bits())).collect()
-        };
-        prop_assert_eq!(bits(&out_b), bits(&out_s));
+        let samples: Vec<(f64, f64)> = values.iter().map(|&v| (v, v + 0.25)).collect();
+        prop_assert_eq!(q.push_batch(samples.iter().copied()), model.push_batch(&samples));
+        prop_assert_eq!(q.accepted(), model.accepted);
+        prop_assert_eq!(q.dropped(), model.dropped);
+        let (mut out_q, mut out_m) = (Vec::new(), Vec::new());
+        q.drain_into(&mut out_q, usize::MAX);
+        model.drain_into(&mut out_m, usize::MAX);
+        prop_assert_eq!(bits(&out_q), bits(&out_m));
     }
 }
 
@@ -158,21 +198,23 @@ fn synthetic(shard: u64, i: u64) -> f64 {
     3.0 + ((i * 7 + shard * 13) % 23) as f64 * 0.6 + if i.is_multiple_of(311) { 40.0 } else { 0.0 }
 }
 
-/// Runs a threaded multi-shard supervisor workload on one backend:
-/// batched blocking producers, a parked consumer thread, shutdown
-/// drain. Returns the per-shard decision digests.
-fn threaded_digests(backend: QueueBackend) -> Vec<String> {
-    const SHARDS: usize = 3;
-    const PER_SHARD: u64 = 20_000;
+const SHARDS: usize = 3;
+const PER_SHARD: u64 = 20_000;
+
+/// Under real concurrency — a parked consumer pool, batched blocking
+/// producers, shutdown drain — every sample is processed and each
+/// shard lands on the decision digest of a serial, single-threaded
+/// feed of the same sequence.
+#[test]
+fn threaded_stress_is_loss_free_and_matches_serial_digests() {
     let config = SupervisorConfig {
         queue_capacity: 64,
         drain_batch: 16,
-        backend,
         ..SupervisorConfig::default()
     };
     let supervisor = Supervisor::with_shards(config, SHARDS, |_| detector());
     let senders: Vec<_> = (0..SHARDS).map(|s| supervisor.sender(s)).collect();
-    let consumer = ConsumerThread::spawn(supervisor);
+    let pool = ConsumerPool::spawn(supervisor);
     std::thread::scope(|scope| {
         for (shard, sender) in senders.iter().enumerate() {
             scope.spawn(move || {
@@ -188,63 +230,62 @@ fn threaded_digests(backend: QueueBackend) -> Vec<String> {
             });
         }
     });
-    let supervisor = consumer
+    let report = pool
         .join()
         .expect("no log attached")
-        .expect("owned consumer returns the supervisor");
-    let report = supervisor.report();
+        .supervisor
+        .expect("owned pool returns the supervisor")
+        .report();
     assert_eq!(
         report.total_processed,
         SHARDS as u64 * PER_SHARD,
-        "shutdown drain is loss-free on {backend}"
+        "shutdown drain is loss-free"
     );
     assert_eq!(report.total_dropped, 0, "blocking producers never drop");
-    report.shards.iter().map(|s| s.digest.clone()).collect()
-}
 
-/// Under real concurrency — parked consumer, blocking batched
-/// producers, shutdown drain — all three backends process every sample
-/// and land on identical per-shard decision digests.
-#[test]
-fn threaded_stress_digests_match_across_backends() {
-    let mutex = threaded_digests(QueueBackend::Mutex);
-    let ring = threaded_digests(QueueBackend::Ring);
-    let fanin = threaded_digests(QueueBackend::FanIn);
-    assert_eq!(mutex, ring, "ring must be digest-equivalent to mutex");
-    assert_eq!(mutex, fanin, "fanin must be digest-equivalent to mutex");
+    let mut serial = Supervisor::with_shards(config, SHARDS, |_| detector());
+    for shard in 0..SHARDS {
+        for i in 0..PER_SHARD {
+            serial
+                .process_sync(shard, synthetic(shard as u64, i))
+                .expect("no log attached");
+        }
+    }
+    let digests = |r: &rejuv_monitor::MonitorReport| -> Vec<String> {
+        r.shards.iter().map(|s| s.digest.clone()).collect()
+    };
+    assert_eq!(digests(&report), digests(&serial.report()));
 }
 
 /// A consumer blocked on the notifier still sees a loss-free shutdown:
-/// samples pushed before `shutdown()` are drained, on every backend.
+/// samples pushed before `shutdown()` are drained, in FIFO order.
 #[test]
-fn shutdown_drain_is_loss_free_on_both_backends() {
-    for backend in [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn] {
-        let queue = ObsQueue::with_backend(32, backend);
-        let notifier = Arc::new(WorkNotifier::new());
-        queue.attach_notifier(Arc::clone(&notifier));
-        let consumer_q = queue.clone();
-        let consumer_n = Arc::clone(&notifier);
-        let consumer = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            loop {
-                while consumer_q.drain_into(&mut out, 8) > 0 {}
-                if consumer_n.wait() == rejuv_monitor::Wakeup::Shutdown {
-                    break;
-                }
-            }
-            // Final drain after the shutdown signal.
+fn shutdown_drain_is_loss_free() {
+    let queue = ObsQueue::bounded(32);
+    let notifier = Arc::new(WorkNotifier::new());
+    queue.attach_notifier(Arc::clone(&notifier));
+    let consumer_q = queue.clone();
+    let consumer_n = Arc::clone(&notifier);
+    let consumer = std::thread::spawn(move || {
+        let mut out = Vec::new();
+        loop {
             while consumer_q.drain_into(&mut out, 8) > 0 {}
-            out
-        });
-        for i in 0..500u64 {
-            queue.push_blocking(i as f64);
+            if consumer_n.wait() == rejuv_monitor::Wakeup::Shutdown {
+                break;
+            }
         }
-        notifier.shutdown();
-        let out = consumer.join().unwrap();
-        assert_eq!(out.len(), 500, "{backend}: shutdown lost samples");
-        assert!(
-            out.iter().enumerate().all(|(i, &(v, _))| v == i as f64),
-            "{backend}: FIFO order violated"
-        );
+        // Final drain after the shutdown signal.
+        while consumer_q.drain_into(&mut out, 8) > 0 {}
+        out
+    });
+    for i in 0..500u64 {
+        queue.push_blocking(i as f64);
     }
+    notifier.shutdown();
+    let out = consumer.join().unwrap();
+    assert_eq!(out.len(), 500, "shutdown lost samples");
+    assert!(
+        out.iter().enumerate().all(|(i, &(v, _))| v == i as f64),
+        "FIFO order violated"
+    );
 }

@@ -3,8 +3,8 @@
 //!
 //! Property tests interleave exposition snapshots (the exact capture +
 //! render path `/metrics` serves) at arbitrary points of an arbitrary
-//! ingest/drain schedule, across all three queue backends and 1/2/4
-//! configured consumers, and require the run's every artifact — event
+//! ingest/drain schedule, across 1/2/4 configured consumers, and
+//! require the run's every artifact — event
 //! log, final report, decision digests, checkpoint — to match a twin
 //! run that never scraped, byte for byte. A threaded test then covers
 //! what single-threaded determinism cannot: a real `MetricsServer`
@@ -14,13 +14,12 @@
 use proptest::prelude::*;
 use rejuv_monitor::expo::render;
 use rejuv_monitor::{
-    ConsumerThread, EventLog, ExpoSnapshot, MetricsServer, MonitorEvent, QueueBackend,
-    SharedBuffer, SharedSupervisor, Supervisor, SupervisorConfig,
+    ConsumerPool, EventLog, ExpoSnapshot, MetricsServer, MonitorEvent, SharedBuffer,
+    SharedSupervisor, Supervisor, SupervisorConfig,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const BACKENDS: [QueueBackend; 3] = [QueueBackend::Mutex, QueueBackend::Ring, QueueBackend::FanIn];
 const CONSUMERS: [usize; 3] = [1, 2, 4];
 const SHARDS: usize = 3;
 
@@ -66,14 +65,12 @@ struct Artifacts {
 
 /// Runs a schedule, scraping at the marked points only when `scrape`
 /// is set, and collects the artifacts.
-fn run_schedule(backend: QueueBackend, consumers: usize, ops: &[Op], scrape: bool) -> Artifacts {
+fn run_schedule(consumers: usize, ops: &[Op], scrape: bool) -> Artifacts {
     let config = SupervisorConfig {
         queue_capacity: 64,
         drain_batch: 8,
         snapshot_every: Some(50),
-        backend,
         consumers,
-        scalar_drain: false,
     };
     let mut sup = Supervisor::with_shards(config, SHARDS, |_| detector());
     let buffer = SharedBuffer::new();
@@ -130,18 +127,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Interleaving scrapes anywhere in an arbitrary ingest/drain
-    /// schedule changes no artifact, on any backend at any configured
-    /// consumer count.
+    /// schedule changes no artifact, at any configured consumer count.
     #[test]
     fn scrapes_change_no_artifact(
-        backend_pick in 0usize..BACKENDS.len(),
         consumers_pick in 0usize..CONSUMERS.len(),
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        let backend = BACKENDS[backend_pick];
         let consumers = CONSUMERS[consumers_pick];
-        let scraped = run_schedule(backend, consumers, &ops, true);
-        let quiet = run_schedule(backend, consumers, &ops, false);
+        let scraped = run_schedule(consumers, &ops, true);
+        let quiet = run_schedule(consumers, &ops, false);
         prop_assert_eq!(&scraped.trace, &quiet.trace, "event log diverged");
         prop_assert_eq!(&scraped.report, &quiet.report, "report diverged");
         prop_assert_eq!(&scraped.digests, &quiet.digests, "digests diverged");
@@ -155,22 +149,20 @@ fn synthetic(shard: u64, i: u64) -> f64 {
 }
 
 /// Runs a shared-mode supervisor workload — blocking batched producers,
-/// `ConsumerThread` drain plane — optionally with a live HTTP responder
+/// shared consumer-pool drain plane — optionally with a live HTTP responder
 /// scraped continuously, and returns `(report, digests)`. The queue is
 /// wide enough to hold a full shard stream, so `producer_waits` stays
 /// deterministically zero and reports are byte-comparable.
-fn threaded_run(backend: QueueBackend, listen: bool) -> (String, Vec<String>) {
+fn threaded_run(listen: bool) -> (String, Vec<String>) {
     const PER_SHARD: u64 = 10_000;
     let config = SupervisorConfig {
         queue_capacity: PER_SHARD as usize,
         drain_batch: 32,
         snapshot_every: None,
-        backend,
         consumers: 2,
-        scalar_drain: false,
     };
     let shared = SharedSupervisor::new(Supervisor::with_shards(config, SHARDS, |_| detector()));
-    let consumer = ConsumerThread::spawn_shared(&shared);
+    let consumer = ConsumerPool::spawn_shared(&shared);
     let server = listen.then(|| {
         MetricsServer::bind(
             "127.0.0.1:0".parse().unwrap(),
@@ -220,7 +212,7 @@ fn threaded_run(backend: QueueBackend, listen: bool) -> (String, Vec<String>) {
             });
         }
     });
-    let (_, _stats) = consumer.join_stats().expect("no log attached");
+    consumer.join().expect("no log attached");
     stop.store(true, Ordering::SeqCst);
     if let Some(handle) = scraper {
         let served = handle.join().expect("scraper never panics");
@@ -260,20 +252,17 @@ fn comparable_report(report: &rejuv_monitor::MonitorReport) -> String {
 }
 
 /// A live responder under real concurrent scraping leaves the run's
-/// report and digests byte-identical to a listener-free twin, on every
-/// backend.
+/// report and digests byte-identical to a listener-free twin.
 #[test]
 fn http_scraper_under_load_changes_nothing() {
-    for backend in BACKENDS {
-        let (scraped_report, scraped_digests) = threaded_run(backend, true);
-        let (quiet_report, quiet_digests) = threaded_run(backend, false);
-        assert_eq!(
-            scraped_digests, quiet_digests,
-            "{backend}: digests diverged under live scraping"
-        );
-        assert_eq!(
-            scraped_report, quiet_report,
-            "{backend}: report diverged under live scraping"
-        );
-    }
+    let (scraped_report, scraped_digests) = threaded_run(true);
+    let (quiet_report, quiet_digests) = threaded_run(false);
+    assert_eq!(
+        scraped_digests, quiet_digests,
+        "digests diverged under live scraping"
+    );
+    assert_eq!(
+        scraped_report, quiet_report,
+        "report diverged under live scraping"
+    );
 }
