@@ -95,8 +95,14 @@ pub enum MonitorEvent {
 }
 
 /// An append-only JSONL writer for [`MonitorEvent`]s.
+///
+/// Every line is assembled in one reusable buffer and handed to the
+/// sink in a single `write_all`. The two hot records, `Batch` and
+/// `TimedBatch`, are encoded straight to bytes; the rest go through
+/// `serde_json`. Both paths produce the same canonical text.
 pub struct EventLog {
     sink: Box<dyn Write + Send>,
+    line: Vec<u8>,
 }
 
 impl std::fmt::Debug for EventLog {
@@ -108,15 +114,17 @@ impl std::fmt::Debug for EventLog {
 impl EventLog {
     /// Wraps any writer (a file, a `Vec<u8>` buffer, …).
     pub fn new(sink: Box<dyn Write + Send>) -> Self {
-        EventLog { sink }
+        EventLog {
+            sink,
+            line: Vec::new(),
+        }
     }
 
     /// Appends one event as a JSON line.
     pub fn record(&mut self, event: &MonitorEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.sink.write_all(line.as_bytes())?;
-        self.sink.write_all(b"\n")
+        self.line.clear();
+        encode_line(event, &mut self.line)?;
+        self.sink.write_all(&self.line)
     }
 
     /// Flushes the underlying writer.
@@ -158,25 +166,257 @@ impl Write for SharedBuffer {
     }
 }
 
+/// Appends `event` and its terminating `\n` to `out`, byte-identical to
+/// `serde_json::to_string(event)` plus `\n`: keys in sorted order, each
+/// finite float in std `Display` form with `.0` appended when the text
+/// has no `.`, `e` or `E`, each non-finite float as `null`.
+fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
+    match event {
+        MonitorEvent::Batch { shard, seq, values } => {
+            write!(
+                out,
+                "{{\"Batch\":{{\"seq\":{seq},\"shard\":{shard},\"values\":"
+            )?;
+            encode_floats(values, out)?;
+        }
+        MonitorEvent::TimedBatch {
+            shard,
+            seq,
+            values,
+            times,
+        } => {
+            write!(
+                out,
+                "{{\"TimedBatch\":{{\"seq\":{seq},\"shard\":{shard},\"times\":"
+            )?;
+            encode_floats(times, out)?;
+            out.extend_from_slice(b",\"values\":");
+            encode_floats(values, out)?;
+        }
+        _ => {
+            let text = serde_json::to_string(event)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            out.extend_from_slice(text.as_bytes());
+            out.push(b'\n');
+            return Ok(());
+        }
+    }
+    out.extend_from_slice(b"}}\n");
+    Ok(())
+}
+
+fn encode_floats(values: &[f64], out: &mut Vec<u8>) -> io::Result<()> {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        if !v.is_finite() {
+            out.extend_from_slice(b"null");
+            continue;
+        }
+        let start = out.len();
+        write!(out, "{v}")?;
+        if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            out.extend_from_slice(b".0");
+        }
+    }
+    out.push(b']');
+    Ok(())
+}
+
+/// Parses one log line. Canonical `Batch`/`TimedBatch` lines (exactly
+/// what [`EventLog::record`] writes) take a hand-rolled fast path; every
+/// other line, and any token the fast path is not sure of, goes to
+/// `serde_json::from_str`. The fast path accepts only lines the serde
+/// path also accepts, and yields a bitwise-equal event for them.
+fn decode_line(line: &str) -> Result<MonitorEvent, serde_json::Error> {
+    match BatchLine::parse(line) {
+        Some(event) => Ok(event),
+        None => serde_json::from_str(line),
+    }
+}
+
+/// Cursor over one canonical batch line (the [`decode_line`] fast
+/// path). Every method returns `None` at the first byte it does not
+/// expect, which sends the whole line to the serde path.
+///
+/// The serde parser reads a number as the longest run of
+/// `[0-9.eE+-]`. Every number the fast path accepts is followed by `,`,
+/// `]` or `}` (checked by the caller), so both parsers see the same
+/// token and, through `str::parse`, the same value.
+struct BatchLine<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> BatchLine<'a> {
+    fn parse(text: &'a str) -> Option<MonitorEvent> {
+        let mut cur = BatchLine { text, pos: 0 };
+        let timed = if cur.eat("{\"Batch\":{\"seq\":") {
+            false
+        } else if cur.eat("{\"TimedBatch\":{\"seq\":") {
+            true
+        } else {
+            return None;
+        };
+        let seq = cur.unsigned()?;
+        cur.expect(",\"shard\":")?;
+        let shard = u32::try_from(cur.unsigned()?).ok()?;
+        let times = if timed {
+            cur.expect(",\"times\":")?;
+            Some(cur.floats()?)
+        } else {
+            None
+        };
+        cur.expect(",\"values\":")?;
+        let values = cur.floats()?;
+        cur.expect("}}")?;
+        if cur.pos != text.len() {
+            return None;
+        }
+        Some(match times {
+            Some(times) => MonitorEvent::TimedBatch {
+                shard,
+                seq,
+                values,
+                times,
+            },
+            None => MonitorEvent::Batch { shard, seq, values },
+        })
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, tag: &str) -> bool {
+        let hit = self.bytes()[self.pos..].starts_with(tag.as_bytes());
+        if hit {
+            self.pos += tag.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, tag: &str) -> Option<()> {
+        self.eat(tag).then_some(())
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn unsigned(&mut self) -> Option<u64> {
+        let start = self.pos;
+        if self.digits() == 0 {
+            return None;
+        }
+        self.text[start..self.pos].parse().ok()
+    }
+
+    /// A JSON array of float tokens and `null`s (NaN).
+    fn floats(&mut self) -> Option<Vec<f64>> {
+        self.expect("[")?;
+        let mut out = Vec::new();
+        if self.eat("]") {
+            return Some(out);
+        }
+        loop {
+            out.push(if self.eat("null") {
+                f64::NAN
+            } else {
+                self.float()?
+            });
+            if self.eat("]") {
+                return Some(out);
+            }
+            self.expect(",")?;
+        }
+    }
+
+    /// One strict-grammar JSON number with a fraction or an exponent:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Integer tokens
+    /// are left to serde, which reads them as integers first (so `-0`
+    /// becomes `+0.0` there).
+    fn float(&mut self) -> Option<f64> {
+        let start = self.pos;
+        self.eat("-");
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.bytes()[int_start] == b'0') {
+            return None;
+        }
+        let mut is_float = false;
+        if self.eat(".") {
+            if self.digits() == 0 {
+                return None;
+            }
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return None;
+            }
+            is_float = true;
+        }
+        if !is_float {
+            return None;
+        }
+        self.text[start..self.pos].parse().ok()
+    }
+}
+
+/// Reads the next line into `buf` (cleared first), dropping a `\n` or
+/// `\r\n` terminator exactly as [`BufRead::lines`] does. `Ok(false)` at
+/// end of input.
+fn next_line<R: BufRead>(reader: &mut R, buf: &mut String) -> io::Result<bool> {
+    buf.clear();
+    if reader.read_line(buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.ends_with('\n') {
+        buf.pop();
+        if buf.ends_with('\r') {
+            buf.pop();
+        }
+    }
+    Ok(true)
+}
+
+fn invalid_line(number: usize, e: serde_json::Error) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("event log line {number}: {e}"),
+    )
+}
+
 /// Reads a full JSONL event log back, skipping blank lines.
 ///
 /// # Errors
 ///
 /// I/O errors from the reader, or `InvalidData` for unparseable lines.
-pub fn read_events<R: BufRead>(reader: R) -> io::Result<Vec<MonitorEvent>> {
+pub fn read_events<R: BufRead>(mut reader: R) -> io::Result<Vec<MonitorEvent>> {
     let mut events = Vec::new();
-    for (number, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut line = String::new();
+    let mut number = 0;
+    while next_line(&mut reader, &mut line)? {
+        number += 1;
         if line.trim().is_empty() {
             continue;
         }
-        let event = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("event log line {}: {e}", number + 1),
-            )
-        })?;
-        events.push(event);
+        events.push(decode_line(&line).map_err(|e| invalid_line(number, e))?);
     }
     Ok(events)
 }
@@ -190,33 +430,37 @@ pub fn read_events<R: BufRead>(reader: R) -> io::Result<Vec<MonitorEvent>> {
 /// *non-final* line is still an error: mid-log corruption is never
 /// silently skipped.
 ///
+/// Lines are streamed: only a line that fails to parse makes the reader
+/// look further ahead, reading the rest of the log to tell a torn tail
+/// (nothing but blank lines follow) from corruption.
+///
 /// # Errors
 ///
 /// I/O errors from the reader, or `InvalidData` for an unparseable line
 /// that is not the last line of the log.
 pub fn read_events_tolerant<R: BufRead>(
-    reader: R,
+    mut reader: R,
 ) -> io::Result<(Vec<MonitorEvent>, Option<String>)> {
-    let lines: Vec<String> = reader.lines().collect::<io::Result<_>>()?;
     let mut events = Vec::new();
-    let last_content = lines
-        .iter()
-        .rposition(|l| !l.trim().is_empty())
-        .unwrap_or(0);
-    for (number, line) in lines.iter().enumerate() {
+    let mut line = String::new();
+    let mut number = 0;
+    while next_line(&mut reader, &mut line)? {
+        number += 1;
         if line.trim().is_empty() {
             continue;
         }
-        match serde_json::from_str(line) {
+        match decode_line(&line) {
             Ok(event) => events.push(event),
-            Err(_) if number == last_content => {
-                return Ok((events, Some(line.clone())));
-            }
             Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("event log line {}: {e}", number + 1),
-                ));
+                let mut rest = String::new();
+                let mut corrupt = false;
+                while next_line(&mut reader, &mut rest)? {
+                    corrupt |= !rest.trim().is_empty();
+                }
+                if corrupt {
+                    return Err(invalid_line(number, e));
+                }
+                return Ok((events, Some(line)));
             }
         }
     }

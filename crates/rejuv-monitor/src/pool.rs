@@ -305,6 +305,31 @@ impl PoolShared {
     }
 }
 
+/// Joins every worker, then reports the first panic (re-raised with
+/// its payload) or else the first error. Joining them all first means
+/// a worker that panicked never leaves the others running detached,
+/// still writing the log and checkpoints behind the caller's back.
+fn join_workers(handles: Vec<JoinHandle<io::Result<()>>>) -> io::Result<()> {
+    let mut result = Ok(());
+    let mut panicked = None;
+    for handle in handles {
+        match handle.join() {
+            Ok(joined) => {
+                if result.is_ok() {
+                    result = joined;
+                }
+            }
+            Err(payload) => {
+                panicked.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+    result
+}
+
 /// The drain loop of one pooled worker.
 fn worker_loop(shared: &PoolShared, worker: usize) -> io::Result<()> {
     let me = worker as u32;
@@ -582,14 +607,7 @@ impl ConsumerPool {
                 for notifier in &shared.notifiers {
                     notifier.shutdown();
                 }
-                let mut result = Ok(());
-                for handle in handles {
-                    let joined = handle.join().expect("consumer worker panicked");
-                    if result.is_ok() {
-                        result = joined;
-                    }
-                }
-                result?;
+                join_workers(handles)?;
                 // With the drain plane gone, latch every queue's
                 // shutdown flag so a blocking producer that is (or
                 // gets) parked on a full queue wakes and returns short
@@ -639,14 +657,7 @@ impl ConsumerPool {
                 queues,
             } => {
                 notifier.shutdown();
-                let mut result = Ok(());
-                for handle in handles {
-                    let joined = handle.join().expect("consumer worker panicked");
-                    if result.is_ok() {
-                        result = joined;
-                    }
-                }
-                result?;
+                join_workers(handles)?;
                 for queue in &queues {
                     queue.shutdown();
                 }
@@ -701,6 +712,30 @@ mod tests {
     use crate::supervisor::SupervisorConfig;
     use proptest::prelude::*;
     use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+
+    #[test]
+    fn join_workers_stops_every_worker_before_reraising_a_panic() {
+        let finished = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let crashed = std::thread::spawn(|| -> io::Result<()> {
+            std::panic::resume_unwind(Box::new("worker crash"))
+        });
+        let survivor = {
+            let finished = Arc::clone(&finished);
+            std::thread::spawn(move || -> io::Result<()> {
+                finished.store(true, Ordering::SeqCst);
+                Ok(())
+            })
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join_workers(vec![crashed, survivor])
+        }));
+        let payload = outcome.expect_err("the crash is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker crash"));
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the surviving worker was joined, not left running detached"
+        );
+    }
 
     fn sraa() -> Box<dyn RejuvenationDetector> {
         Box::new(Sraa::new(

@@ -12,6 +12,11 @@
 //! 3. *resume*: replaying from the checked-in mid-run checkpoint
 //!    produces the same report bytes (checkpoint semantics stability).
 //!
+//! A second, timed trace (`fleet_trace_timed.jsonl`) pins the bytes of
+//! `TimedBatch` records, including `null` for untimed samples. Both
+//! traces must also survive a decode/re-encode round trip
+//! (`read_events` then `EventLog::record`) byte-for-byte.
+//!
 //! To regenerate after an *intentional* format or digest change:
 //!
 //! ```text
@@ -32,6 +37,10 @@ const TRACE_PATH: &str = concat!(
 const REPORT_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/fleet_report.json"
+);
+const TIMED_TRACE_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/fleet_trace_timed.jsonl"
 );
 const CHECKPOINT_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -58,9 +67,15 @@ fn value_at(i: u64) -> f64 {
     }
 }
 
-/// Runs the recorded workload live: returns the trace bytes, the first
-/// mid-run checkpoint, and the final report.
-fn record_live(fleet: &FleetConfig) -> (Vec<u8>, SupervisorSnapshot, rejuv_monitor::MonitorReport) {
+/// Simulation timestamp of observation `i` for the timed workload, or
+/// `None` for the samples that arrive untimed (serialised `null`).
+fn time_at(i: u64) -> Option<f64> {
+    (i % 7 != 3).then_some(i as f64 * 0.37 + (i % 11) as f64 * 1e-3)
+}
+
+/// A supervisor for the example fleet with a `FleetStart` header
+/// already written to an in-memory log.
+fn fleet_supervisor(fleet: &FleetConfig) -> (Supervisor, SharedBuffer) {
     let config = config();
     let mut sup = Supervisor::with_specs(config, fleet.specs()).expect("example fleet builds");
     let buffer = SharedBuffer::new();
@@ -74,6 +89,13 @@ fn record_live(fleet: &FleetConfig) -> (Vec<u8>, SupervisorSnapshot, rejuv_monit
     })
     .expect("write run header");
     sup.set_log(log);
+    (sup, buffer)
+}
+
+/// Runs the recorded workload live: returns the trace bytes, the first
+/// mid-run checkpoint, and the final report.
+fn record_live(fleet: &FleetConfig) -> (Vec<u8>, SupervisorSnapshot, rejuv_monitor::MonitorReport) {
+    let (mut sup, buffer) = fleet_supervisor(fleet);
 
     let shards = fleet.shard_count() as u64;
     let mut checkpoint = None;
@@ -95,6 +117,39 @@ fn record_live(fleet: &FleetConfig) -> (Vec<u8>, SupervisorSnapshot, rejuv_monit
 
     let checkpoint = checkpoint.expect("every kind in the example fleet snapshots");
     (buffer.contents(), checkpoint, sup.report())
+}
+
+/// Runs the timed workload live: 400 observations, most stamped with a
+/// simulation time, so the trace is mostly `TimedBatch` records.
+fn record_live_timed(fleet: &FleetConfig) -> (Vec<u8>, rejuv_monitor::MonitorReport) {
+    let (mut sup, buffer) = fleet_supervisor(fleet);
+    let shards = fleet.shard_count() as u64;
+    for i in 0..400u64 {
+        let shard = (i % shards) as usize;
+        assert!(match time_at(i) {
+            Some(at) => sup.ingest_at(shard, value_at(i), at),
+            None => sup.ingest(shard, value_at(i)),
+        });
+        if i % 19 == 0 {
+            sup.poll_all().unwrap();
+        }
+    }
+    while sup.poll_all().unwrap() > 0 {}
+    sup.take_log().unwrap().flush().unwrap();
+    (buffer.contents(), sup.report())
+}
+
+/// Decodes a trace and re-encodes every event through a fresh
+/// `EventLog`.
+fn reencode(trace: &[u8]) -> Vec<u8> {
+    let events = read_events(std::io::Cursor::new(trace)).expect("parse trace");
+    let buffer = SharedBuffer::new();
+    let mut log = EventLog::new(Box::new(buffer.clone()));
+    for event in &events {
+        log.record(event).expect("re-encode event");
+    }
+    log.flush().unwrap();
+    buffer.contents()
 }
 
 fn render_report(report: &rejuv_monitor::MonitorReport) -> String {
@@ -183,4 +238,43 @@ fn golden_files_stay_byte_identical() {
         read_golden(REPORT_PATH),
         "resumed replay diverged from the golden report"
     );
+}
+
+#[test]
+fn timed_golden_replays_live_and_round_trips_byte_identically() {
+    let fleet = FleetConfig::load(Path::new(FLEET_PATH)).expect("example fleet parses");
+    let (trace, live_report) = record_live_timed(&fleet);
+
+    if regen_requested() {
+        std::fs::write(TIMED_TRACE_PATH, &trace).expect("write golden timed trace");
+        println!("regenerated tests/golden/fleet_trace_timed.jsonl");
+        return;
+    }
+
+    let golden = read_golden(TIMED_TRACE_PATH);
+    assert_eq!(
+        trace, golden,
+        "live timed recording diverged from the golden timed trace \
+         (REJUV_REGEN_GOLDEN=1 to accept an intentional change)"
+    );
+    let text = String::from_utf8(golden.clone()).unwrap();
+    assert!(text.contains("{\"TimedBatch\":"), "the trace is timed");
+    assert!(text.contains("null"), "some samples are untimed");
+
+    // Replay of the golden trace reproduces the live report.
+    let events = read_events(std::io::Cursor::new(&golden)).expect("parse timed trace");
+    let MonitorEvent::FleetStart { specs, .. } = &events[0] else {
+        panic!("golden timed trace must begin with a FleetStart header");
+    };
+    let replayed = replay_fleet_events(&events, config(), specs, None).expect("replay");
+    assert_eq!(
+        render_report(&replayed.report()),
+        render_report(&live_report),
+        "replay of the timed trace diverged from the live run"
+    );
+
+    // Decode then re-encode: both goldens come back byte-for-byte.
+    assert_eq!(reencode(&golden), golden, "timed trace round trip");
+    let untimed = read_golden(TRACE_PATH);
+    assert_eq!(reencode(&untimed), untimed, "untimed trace round trip");
 }

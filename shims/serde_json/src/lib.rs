@@ -155,9 +155,16 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser is
+/// recursive, so without a bound a few hundred kilobytes of `[` would
+/// overflow the stack and abort the process; real `serde_json` uses the
+/// same limit.
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,7 +172,20 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Enters one array/object level, failing past [`RECURSION_LIMIT`].
+    fn descend(&mut self) -> Result<(), Error> {
+        self.depth += 1;
+        if self.depth > RECURSION_LIMIT {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
     }
 
     fn parse_document(mut self) -> Result<Value, Error> {
@@ -212,8 +232,16 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            b'{' | b'[' => {
+                self.descend()?;
+                let nested = if self.bytes[self.pos] == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => self.parse_string().map(Value::String),
             b't' => self.parse_keyword("true", Value::Bool(true)),
             b'f' => self.parse_keyword("false", Value::Bool(false)),
@@ -518,6 +546,17 @@ mod tests {
         let rendered = to_string(&String::from(original)).unwrap();
         let back: String = from_str(&rendered).unwrap();
         assert_eq!(back, original);
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let at_limit = "[".repeat(RECURSION_LIMIT) + &"]".repeat(RECURSION_LIMIT);
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let over = "[".repeat(RECURSION_LIMIT + 1) + &"]".repeat(RECURSION_LIMIT + 1);
+        let err = from_str::<Value>(&over).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let deep = "{\"a\":".repeat(200_000) + &"[".repeat(200_000);
+        assert!(from_str::<Value>(&deep).is_err());
     }
 
     #[test]
