@@ -9,6 +9,13 @@
 //! cells. The best of several rounds wins, which keeps slow machine
 //! drift out of the figure.
 //!
+//! The input is branch-predictable: a slowly drifting period-7 ramp, so
+//! the same few histogram buckets recur in the same order and the
+//! predictor learns every bucket-search exit. That is why this probe
+//! never showed the cost of a first-match bucket search on the healthy
+//! exponential response times the paper's baseline produces
+//! (`benches/histogram_fold.rs` times both inputs side by side).
+//!
 //! Run with: `cargo run --release -p rejuv-bench --example drain_probe`
 
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};

@@ -95,7 +95,7 @@ pub use event::{read_events, read_events_tolerant, EventLog, MonitorEvent, Share
 pub use expo::{DrainPlane, ExpoSnapshot, ShardRuntime};
 pub use fleet::{FleetConfig, FleetError};
 pub use http::MetricsServer;
-pub use metrics::{Histogram, MetricsRegistry, MetricsReport};
+pub use metrics::{Histogram, HistogramProblem, MetricsRegistry, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
 pub use queue::{ObsQueue, Wakeup, WorkNotifier};
 pub use supervisor::{

@@ -25,8 +25,9 @@
 //! ([`Supervisor::set_checkpoint_timer`]); the event log, if any, is
 //! flushed first so the persisted log always covers the checkpoint.
 //! [`Supervisor::restore`] rebuilds from a snapshot, rejecting mismatched
-//! shard counts, detector kinds or specs, and snapshot versions with a
-//! typed [`RestoreError`] instead of silently misapplying state.
+//! shard counts, detector kinds or specs, histogram shapes and snapshot
+//! versions with a typed [`RestoreError`] instead of silently
+//! misapplying state.
 //!
 //! Fleets need not be homogeneous: [`Supervisor::with_specs`] builds one
 //! shard per [`DetectorSpec`] (see [`crate::fleet::FleetConfig`]), each
@@ -37,7 +38,7 @@ use crate::assurance::failpoints::fp;
 use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
 use crate::event::{EventLog, MonitorEvent};
-use crate::metrics::{Histogram, MetricsRegistry, MetricsReport};
+use crate::metrics::{Histogram, HistogramProblem, MetricsRegistry, MetricsReport};
 use crate::queue::{ObsQueue, UNTIMED};
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
 use rejuv_sim::{Observation, ObservationSink};
@@ -49,12 +50,12 @@ use std::sync::Arc;
 
 /// Histogram bounds for observation values (seconds; the paper's SLA
 /// puts µX at 5 s).
-const VALUE_BOUNDS: [f64; 7] = [1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0];
+pub(crate) const VALUE_BOUNDS: [f64; 7] = [1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0];
 /// Histogram bounds for drain batch sizes.
-const BATCH_BOUNDS: [f64; 5] = [1.0, 8.0, 64.0, 512.0, 4096.0];
+pub(crate) const BATCH_BOUNDS: [f64; 5] = [1.0, 8.0, 64.0, 512.0, 4096.0];
 /// Histogram bounds for inter-observation latency, seconds of
 /// simulation time between consecutive timed samples of one shard.
-const LATENCY_BOUNDS: [f64; 6] = [0.01, 0.05, 0.25, 1.0, 5.0, 25.0];
+pub(crate) const LATENCY_BOUNDS: [f64; 6] = [0.01, 0.05, 0.25, 1.0, 5.0, 25.0];
 
 /// Version tag of [`SupervisorSnapshot`]'s serialised format; bumped on
 /// incompatible layout changes so a stale checkpoint file is rejected
@@ -309,9 +310,10 @@ impl DrainScratch {
 ///
 /// The hot path is the **batch kernel**: one virtual
 /// [`RejuvenationDetector::observe_batch`] call per drained batch, the
-/// decision digest folded from the returned fire list, bulk
-/// [`Histogram::record_slice`] for the value/latency histograms and a
-/// vectorized timestamp-diff pass. A detector without a batch kernel
+/// decision digest folded from the returned fire list inside the value
+/// histogram's bulk pass (`Histogram::record_slice_with`, branch-free
+/// bucket index), which also carries the timestamp diffs into the
+/// latency histogram. A detector without a batch kernel
 /// inherits the default per-sample `observe_batch` loop and yields the
 /// same shard state bit for bit (`tests/batch_scalar_equivalence.rs`).
 pub(crate) fn drain_shard(
@@ -398,7 +400,12 @@ pub(crate) fn drain_shard(
         // — so `next_fired == fired.len()` on entry means this
         // chunk fired nothing, and the fold can drop the per-sample
         // fired compare and sequence arithmetic. Rejuvenations are
-        // rare, so this is the overwhelmingly common shape.
+        // rare, so this is the overwhelmingly common shape. Measured
+        // with the branch-free bucket index (perfbench `ingest_inline`,
+        // 2-core Xeon, alternating runs): keeping this specialisation
+        // gave 82–85 M obs/s against 74–79 M with only the fired
+        // closure, and 32.5–36.1 M against 30.2–32.2 M in a second
+        // measurement on the box under heavier load.
         if next_fired == fired.len() {
             value_hist.record_slice_with(values, |i, value| {
                 digest = fold_sample(digest, value.to_bits(), false);
@@ -874,6 +881,19 @@ pub enum RestoreError {
         /// Shard index recorded in the checkpoint's dead-letter entry.
         shard: u32,
     },
+    /// A shard's histogram does not fit the instrument it would
+    /// restore: the checkpoint was edited or written by a build with
+    /// different bucket bounds. Restoring it would panic at the next
+    /// report's merge or silently drop bucket counts.
+    HistogramMismatch {
+        /// The offending shard.
+        shard: usize,
+        /// Metric name of the histogram (`observation_value`,
+        /// `drain_batch_size` or `inter_observation_latency`).
+        histogram: &'static str,
+        /// What does not fit.
+        problem: HistogramProblem,
+    },
 }
 
 impl fmt::Display for RestoreError {
@@ -903,6 +923,11 @@ impl fmt::Display for RestoreError {
                 "checkpoint carries dead-letter state for shard {shard}, \
                  which has no dead-letter queue attached"
             ),
+            RestoreError::HistogramMismatch {
+                shard,
+                histogram,
+                problem,
+            } => write!(f, "shard {shard}: histogram {histogram}: {problem}"),
         }
     }
 }
@@ -1642,8 +1667,9 @@ impl Supervisor {
     /// # Errors
     ///
     /// [`RestoreError`] if the snapshot version is unknown, the shard
-    /// counts differ, or a shard's snapshot belongs to a different
-    /// detector kind than the one configured for that shard; the
+    /// counts differ, a shard's snapshot belongs to a different
+    /// detector kind than the one configured for that shard, or a
+    /// shard's histogram does not fit its configured instrument; the
     /// supervisor is unchanged on error.
     pub fn restore(&mut self, snapshot: &SupervisorSnapshot) -> Result<(), RestoreError> {
         if snapshot.version != SNAPSHOT_VERSION && snapshot.version != SNAPSHOT_VERSION_DLQ {
@@ -1693,6 +1719,26 @@ impl Supervisor {
                         found: Box::new(*found),
                     });
                 }
+            }
+            // The bulk bucket index assumes the configured (strictly
+            // ascending) bounds and one count per bucket; a histogram
+            // that breaks either would panic at the next merge or drop
+            // bucket counts.
+            for (histogram, hist, bounds) in [
+                ("observation_value", &shard.value_hist, &VALUE_BOUNDS[..]),
+                ("drain_batch_size", &shard.batch_hist, &BATCH_BOUNDS[..]),
+                (
+                    "inter_observation_latency",
+                    &shard.latency_hist,
+                    &LATENCY_BOUNDS[..],
+                ),
+            ] {
+                hist.check_shape(bounds)
+                    .map_err(|problem| RestoreError::HistogramMismatch {
+                        shard: i,
+                        histogram,
+                        problem,
+                    })?;
             }
             detectors.push(shard.detector.clone().into_detector());
         }

@@ -1,13 +1,15 @@
 //! Exhaustive restore-rejection coverage: every way a checkpoint can
 //! disagree with the configured supervisor — snapshot version, shard
 //! count, per-shard detector kind (all ordered kind pairs), and
-//! same-kind spec drift — must return its typed [`RestoreError`]
+//! same-kind spec drift, per-shard histogram shape (bounds, bucket
+//! count, count total) — must return its typed [`RestoreError`]
 //! *without mutating supervisor state*: the report (digests included)
 //! is byte-identical before and after the failed restore.
 
 use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
-    RestoreError, Supervisor, SupervisorConfig, SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
+    Histogram, HistogramProblem, RestoreError, Supervisor, SupervisorConfig, SupervisorSnapshot,
+    SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
 };
 
 fn supervisor_of(kinds: &[DetectorKind]) -> Supervisor {
@@ -148,4 +150,162 @@ fn same_kind_knob_drift_is_rejected_without_mutation() {
         })
     );
     assert_eq!(target.report(), before);
+}
+
+/// `h` rebuilt through its serialised form with one field replaced —
+/// the edit a hand-modified or foreign checkpoint file carries.
+fn edited(h: &Histogram, bounds: &[f64], counts: &[u64], count: u64) -> Histogram {
+    let json = format!(
+        r#"{{"bounds":{},"count":{count},"counts":{},"sum":{}}}"#,
+        serde_json::to_string(bounds).unwrap(),
+        serde_json::to_string(counts).unwrap(),
+        serde_json::to_string(&h.sum()).unwrap(),
+    );
+    serde_json::from_str(&json).expect("edited histogram parses")
+}
+
+/// Restores `checkpoint` into a warmed-up copy of the donor's topology
+/// and requires `expected` with the report byte-identical afterwards.
+fn assert_rejected_without_mutation(
+    kinds: &[DetectorKind],
+    checkpoint: &SupervisorSnapshot,
+    expected: RestoreError,
+) {
+    let mut target = supervisor_of(kinds);
+    warm_up(&mut target);
+    let before = serde_json::to_string(&target.report()).unwrap();
+    assert_eq!(target.restore(checkpoint), Err(expected));
+    assert_eq!(serde_json::to_string(&target.report()).unwrap(), before);
+}
+
+#[test]
+fn reordered_histogram_bounds_are_rejected_without_mutation() {
+    // Restored unchecked, this would panic in the next report's
+    // `Histogram::merge` on the differing bounds.
+    let kinds = [DetectorKind::Sraa, DetectorKind::Clta];
+    let mut donor = supervisor_of(&kinds);
+    warm_up(&mut donor);
+    let mut checkpoint = donor.snapshot().unwrap();
+    let h = &checkpoint.shards[1].value_hist;
+    let mut bounds = h.bounds().to_vec();
+    bounds.swap(2, 3);
+    checkpoint.shards[1].value_hist = edited(h, &bounds, h.counts(), h.count());
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 1,
+            histogram: "observation_value",
+            problem: HistogramProblem::Bounds,
+        },
+    );
+}
+
+#[test]
+fn truncated_histogram_counts_are_rejected_without_mutation() {
+    // Restored unchecked, every later `record_slice` would silently
+    // drop the counts of buckets 1 and up.
+    let kinds = [DetectorKind::Sraa];
+    let mut donor = supervisor_of(&kinds);
+    warm_up(&mut donor);
+    let mut checkpoint = donor.snapshot().unwrap();
+    let h = &checkpoint.shards[0].value_hist;
+    checkpoint.shards[0].value_hist = edited(h, h.bounds(), &[1], h.count());
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 0,
+            histogram: "observation_value",
+            problem: HistogramProblem::BucketCount {
+                expected: 8,
+                found: 1,
+            },
+        },
+    );
+}
+
+#[test]
+fn histogram_counts_that_miss_the_total_are_rejected_without_mutation() {
+    let kinds = [DetectorKind::Sraa];
+    let mut donor = supervisor_of(&kinds);
+    warm_up(&mut donor);
+    let pristine = donor.snapshot().unwrap();
+
+    let mut checkpoint = pristine.clone();
+    let h = &pristine.shards[0].latency_hist;
+    let mut counts = h.counts().to_vec();
+    counts[0] += 1;
+    let bucket_total = counts.iter().map(|&c| u128::from(c)).sum();
+    checkpoint.shards[0].latency_hist = edited(h, h.bounds(), &counts, h.count());
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 0,
+            histogram: "inter_observation_latency",
+            problem: HistogramProblem::CountMismatch {
+                count: h.count(),
+                bucket_total,
+            },
+        },
+    );
+
+    // Counts whose sum overflows a `u64` are a mismatch, not a panic.
+    let mut checkpoint = pristine.clone();
+    let h = &pristine.shards[0].value_hist;
+    let mut counts = vec![0; h.counts().len()];
+    counts[0] = u64::MAX;
+    counts[1] = 1;
+    checkpoint.shards[0].value_hist = edited(h, h.bounds(), &counts, u64::MAX);
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 0,
+            histogram: "observation_value",
+            problem: HistogramProblem::CountMismatch {
+                count: u64::MAX,
+                bucket_total: u128::from(u64::MAX) + 1,
+            },
+        },
+    );
+}
+
+#[test]
+fn foreign_histogram_bounds_are_rejected_without_mutation() {
+    // A batch histogram carrying the latency bounds (well-formed, just
+    // not this instrument's), and a bound that is NaN: both are bounds
+    // mismatches, named by shard and histogram.
+    let kinds = [DetectorKind::Sraa, DetectorKind::Cusum];
+    let mut donor = supervisor_of(&kinds);
+    warm_up(&mut donor);
+    let pristine = donor.snapshot().unwrap();
+
+    let mut checkpoint = pristine.clone();
+    checkpoint.shards[1].batch_hist = pristine.shards[1].latency_hist.clone();
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 1,
+            histogram: "drain_batch_size",
+            problem: HistogramProblem::Bounds,
+        },
+    );
+
+    let mut checkpoint = pristine.clone();
+    let h = &pristine.shards[0].batch_hist;
+    let mut bounds = h.bounds().to_vec();
+    bounds[0] = f64::NAN;
+    checkpoint.shards[0].batch_hist = edited(h, &bounds, h.counts(), h.count());
+    assert_rejected_without_mutation(
+        &kinds,
+        &checkpoint,
+        RestoreError::HistogramMismatch {
+            shard: 0,
+            histogram: "drain_batch_size",
+            problem: HistogramProblem::Bounds,
+        },
+    );
 }
