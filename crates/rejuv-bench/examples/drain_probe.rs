@@ -18,23 +18,12 @@
 //!
 //! Run with: `cargo run --release -p rejuv-bench --example drain_probe`
 
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{Supervisor, SupervisorConfig};
 use std::time::Instant;
 
 const N: usize = 1_000_000;
 const ROUNDS: usize = 11;
-
-fn sraa() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
-}
 
 /// Mostly-healthy load with slow drift and sparse spikes — enough
 /// texture to exercise every histogram bucket and the occasional
@@ -59,7 +48,9 @@ fn timed_drain() -> f64 {
         snapshot_every: None,
         consumers: 1,
     };
-    let mut sup = Supervisor::with_shards(config, 1, |_| sraa());
+    // SRAA with n = 2, K = 5, D = 3 at the SLA baseline.
+    let sraa = DetectorSpec::new(DetectorKind::Sraa);
+    let mut sup = Supervisor::with_specs(config, &[sraa]).unwrap();
     let sender = sup.sender(0);
     let mut buf = Vec::with_capacity(256);
     let mut i = 0u64;

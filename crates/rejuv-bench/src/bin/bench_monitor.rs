@@ -57,7 +57,7 @@
 //! address, `2` on a usage error (one-line `bench_monitor: ...`
 //! diagnostic on stderr).
 
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
     ConsumerPool, DlqStats, FleetConfig, MetricsServer, SharedSupervisor, Supervisor,
     SupervisorConfig,
@@ -199,22 +199,11 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
 /// The supervisor under benchmark: a homogeneous SRAA fleet by default,
 /// or the heterogeneous fleet named by `--fleet`.
 fn build_supervisor(opts: &Options, config: SupervisorConfig) -> Supervisor {
-    match &opts.fleet {
-        Some(fleet) => Supervisor::with_specs(config, fleet.specs())
-            .expect("fleet specs were validated at load"),
-        None => Supervisor::with_shards(config, opts.shards, |_| detector()),
-    }
-}
-
-fn detector() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
+    let specs = match &opts.fleet {
+        Some(fleet) => fleet.specs().to_vec(),
+        None => vec![DetectorSpec::new(DetectorKind::Sraa); opts.shards],
+    };
+    Supervisor::with_specs(config, &specs).expect("the fleet file was validated at load")
 }
 
 /// The synthetic stream for one shard: mostly healthy values with a

@@ -1,19 +1,23 @@
 //! `monitord` — the online monitoring runtime attached to simulated
 //! live traffic, plus deterministic replay of a recorded run.
 //!
-//! In **live** mode the daemon builds a sharded [`Supervisor`] (one
-//! shard per host), wires each shard into the traffic source through a
-//! [`MonitorBridge`], and drives either the single-host §3 e-commerce
+//! In **live** mode the daemon turns `--detector`, `--mu` and `--sigma`
+//! into one `DetectorSpec` (rejecting an invalid baseline as a usage
+//! error), builds a sharded [`Supervisor`] with one shard of that spec
+//! per host, wires each shard into the traffic source through a
+//! `MonitorBridge`, and drives either the single-host §3 e-commerce
 //! model (`--hosts 1`) or the load-balanced cluster. Every response time
 //! flows through the shard's ingestion queue and detector; the run ends
 //! with a serialised [`MonitorReport`].
 //!
 //! In **replay** mode (`--replay FILE`) the daemon reads a monitor event
 //! log recorded by a live run, rebuilds an identical supervisor from the
-//! `Start` (or `FleetStart`) header and re-ingests every observation
-//! batch. Decisions are recomputed, not trusted from the log — and the
-//! resulting report must be byte-identical to the live run's
-//! (`cmp live.json replay.json`), which CI checks.
+//! header — a `Start` header's detector name plus `--mu`/`--sigma` give
+//! every shard's spec, a `FleetStart` header carries one spec per
+//! shard — and re-ingests every observation batch. Decisions are
+//! recomputed, not trusted from the log — and the resulting report must
+//! be byte-identical to the live run's (`cmp live.json replay.json`),
+//! which CI checks.
 //!
 //! In **fleet** mode (`--fleet FILE`) the shards are heterogeneous: the
 //! fleet config file assigns each shard its own detector kind and
@@ -134,16 +138,13 @@
 //! environment knob on a failpoints build) exists to prove exactly that,
 //! at every site, on every run.
 
-use rejuv_core::{
-    Clta, CltaConfig, Cusum, CusumConfig, Ewma, EwmaConfig, RejuvenationDetector, Saraa,
-    SaraaConfig, Sraa, SraaConfig, StaticRejuvenation,
-};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_ecommerce::cluster::{ClusterSystem, RoutingPolicy};
 use rejuv_ecommerce::{EcommerceSystem, SystemConfig};
 use rejuv_monitor::{
-    load_snapshot, read_events_tolerant, replay_events_resumed, replay_fleet_events, save_snapshot,
-    ConsumerPool, EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats,
-    SharedSupervisor, Supervisor, SupervisorConfig, SupervisorSnapshot,
+    load_snapshot, read_events_tolerant, replay_fleet_events, save_snapshot, ConsumerPool,
+    EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats, SharedSupervisor,
+    Supervisor, SupervisorConfig, SupervisorSnapshot,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -156,10 +157,10 @@ struct Options {
     hosts_set: bool,
     load: f64,
     transactions: u64,
-    detector: String,
+    /// The per-shard detector of a homogeneous run, from `--detector`,
+    /// `--mu` and `--sigma`; validated while parsing.
+    spec: DetectorSpec,
     detector_set: bool,
-    mu: f64,
-    sigma: f64,
     baseline_set: bool,
     fleet: Option<PathBuf>,
     seed: u64,
@@ -203,10 +204,8 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
         hosts_set: false,
         load: 8.0,
         transactions: 20_000,
-        detector: "sraa".to_owned(),
+        spec: DetectorSpec::new(DetectorKind::Sraa),
         detector_set: false,
-        mu: 5.0,
-        sigma: 5.0,
         baseline_set: false,
         fleet: None,
         seed: 2006,
@@ -233,6 +232,7 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
         dst_dir: None,
     };
     let mut dst_flag_seen: Option<&'static str> = None;
+    let mut detector = opts.spec.kind.cli_name().to_owned();
     let mut args = cli.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -249,15 +249,15 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
                 opts.transactions = parsed("--transactions", &value("--transactions")?)?;
             }
             "--detector" => {
-                opts.detector = value("--detector")?.to_lowercase();
+                detector = value("--detector")?.to_lowercase();
                 opts.detector_set = true;
             }
             "--mu" => {
-                opts.mu = parsed("--mu", &value("--mu")?)?;
+                opts.spec.mu = parsed("--mu", &value("--mu")?)?;
                 opts.baseline_set = true;
             }
             "--sigma" => {
-                opts.sigma = parsed("--sigma", &value("--sigma")?)?;
+                opts.spec.sigma = parsed("--sigma", &value("--sigma")?)?;
                 opts.baseline_set = true;
             }
             "--fleet" => opts.fleet = Some(PathBuf::from(value("--fleet")?)),
@@ -363,12 +363,14 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
              it cannot be combined with --detector/--mu/--sigma"
             .to_owned());
     }
-    if opts.detector_set && !detector_is_known(&opts.detector) {
-        return Err(format!(
-            "unknown detector {} (sraa|saraa|clta|static|cusum|ewma)",
-            opts.detector
-        ));
-    }
+    opts.spec = DetectorSpec::with_baseline(
+        DetectorKind::parse(&detector).ok_or_else(|| unknown_detector(&detector))?,
+        opts.spec.mu,
+        opts.spec.sigma,
+    );
+    opts.spec
+        .validate()
+        .map_err(|e| format!("--mu/--sigma: {e}"))?;
     if !opts.dst {
         if let Some(flag) = dst_flag_seen {
             return Err(format!("{flag} only makes sense together with --dst"));
@@ -426,48 +428,8 @@ fn load_resume(opts: &Options) -> Result<Option<SupervisorSnapshot>, String> {
     Ok(Some(snapshot))
 }
 
-fn detector_is_known(name: &str) -> bool {
-    matches!(
-        name.to_lowercase().as_str(),
-        "sraa" | "saraa" | "clta" | "static" | "cusum" | "ewma"
-    )
-}
-
-/// Builds a detector from its CLI name (or a `RejuvenationDetector::name`
-/// read back from a `Start` header) with bench-grade parameters. Callers
-/// validate the name via [`detector_is_known`] first.
-fn make_detector(name: &str, mu: f64, sigma: f64) -> Box<dyn RejuvenationDetector> {
-    match name.to_lowercase().as_str() {
-        "sraa" => Box::new(Sraa::new(
-            SraaConfig::builder(mu, sigma)
-                .sample_size(2)
-                .buckets(5)
-                .depth(3)
-                .build()
-                .expect("valid SRAA config"),
-        )),
-        "saraa" => Box::new(Saraa::new(
-            SaraaConfig::builder(mu, sigma)
-                .initial_sample_size(4)
-                .buckets(5)
-                .depth(3)
-                .build()
-                .expect("valid SARAA config"),
-        )),
-        "clta" => Box::new(Clta::new(
-            CltaConfig::builder(mu, sigma)
-                .build()
-                .expect("valid CLTA config"),
-        )),
-        "static" => Box::new(StaticRejuvenation::new(mu, sigma, 5, 3).expect("valid config")),
-        "cusum" => Box::new(Cusum::new(
-            CusumConfig::new(mu, sigma, 0.5, 5.0).expect("valid CUSUM config"),
-        )),
-        "ewma" => Box::new(Ewma::new(
-            EwmaConfig::new(mu, sigma, 0.25, 3.0).expect("valid EWMA config"),
-        )),
-        other => unreachable!("detector {other} was validated before use"),
-    }
+fn unknown_detector(name: &str) -> String {
+    format!("unknown detector {name} (sraa|saraa|clta|static|cusum|ewma)")
 }
 
 fn write_report(report: &MonitorReport, path: Option<&PathBuf>) -> Result<(), String> {
@@ -557,12 +519,9 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                      recorded homogeneous (Start header, detector {detector})"
                 ));
             }
-            if !detector_is_known(detector) {
-                return Err(format!(
-                    "event log header names unknown detector {detector} \
-                     (sraa|saraa|clta|static|cusum|ewma)"
-                ));
-            }
+            let kind = DetectorKind::parse(detector)
+                .ok_or_else(|| format!("event log header names {}", unknown_detector(detector)))?;
+            let spec = DetectorSpec::with_baseline(kind, opts.spec.mu, opts.spec.sigma);
             let config = SupervisorConfig {
                 queue_capacity: *queue_capacity as usize,
                 drain_batch: *drain_batch as usize,
@@ -576,14 +535,9 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 detector,
                 events.len()
             );
-            replay_events_resumed(
-                &events,
-                config,
-                *shards as usize,
-                |_| make_detector(detector, opts.mu, opts.sigma),
-                snapshot.as_ref(),
-            )
-            .map_err(|e| format!("replay of {} failed: {e}", log_path.display()))?
+            let specs = vec![spec; *shards as usize];
+            replay_fleet_events(&events, config, &specs, snapshot.as_ref())
+                .map_err(|e| format!("replay of {} failed: {e}", log_path.display()))?
         }
         MonitorEvent::FleetStart {
             shards,
@@ -639,19 +593,16 @@ fn run_live(opts: &Options) -> Result<(), String> {
         ..SupervisorConfig::default()
     };
     let fleet = load_fleet(opts)?;
-    let hosts = fleet.as_ref().map_or(opts.hosts, FleetConfig::shard_count);
-    let mut supervisor = match &fleet {
-        Some(fleet) => Supervisor::with_specs(config, fleet.specs())
-            .expect("fleet specs were validated at load"),
-        None => Supervisor::with_shards(config, hosts, |_| {
-            make_detector(&opts.detector, opts.mu, opts.sigma)
-        }),
+    let specs = match &fleet {
+        Some(fleet) => fleet.specs().to_vec(),
+        None => vec![opts.spec; opts.hosts],
     };
+    let hosts = specs.len();
+    let mut supervisor =
+        Supervisor::with_specs(config, &specs).expect("flags and fleet file were validated");
     let detector_name = match &fleet {
         Some(fleet) => fleet.summary(),
-        None => make_detector(&opts.detector, opts.mu, opts.sigma)
-            .name()
-            .to_owned(),
+        None => opts.spec.kind.name().to_owned(),
     };
 
     if opts.dlq {

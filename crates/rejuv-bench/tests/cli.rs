@@ -284,6 +284,58 @@ fn monitord_rejects_missing_values_and_bad_combinations() {
 }
 
 #[test]
+fn monitord_rejects_an_invalid_baseline_without_a_backtrace() {
+    for args in [
+        &["--sigma", "-1"][..],
+        &["--mu", "nan"],
+        &["--mu", "inf"],
+        &["--detector", "cusum", "--sigma", "0"],
+    ] {
+        let args = [args, &["--transactions", "200"]].concat();
+        expect_failure(&args, 2, "--mu/--sigma: invalid parameter");
+    }
+    // A replay rebuilds its detectors from the same flags.
+    let log = Path::new(&tempdir("monitord-bad-baseline")).join("start.jsonl");
+    let header = r#"{"Start":{"shards":1,"detector":"CLTA","queue_capacity":4,"drain_batch":4,"snapshot_every":null}}"#;
+    std::fs::write(&log, format!("{header}\n")).unwrap();
+    expect_failure(
+        &["--replay", log.to_str().unwrap(), "--sigma", "-1"],
+        2,
+        "--mu/--sigma: invalid parameter sigma = -1",
+    );
+}
+
+#[test]
+fn monitord_homogeneous_replay_matches_live_for_every_kind() {
+    let out = tempdir("monitord-kinds");
+    for kind in ["sraa", "saraa", "clta", "static", "cusum", "ewma"] {
+        let trace = Path::new(&out).join(format!("{kind}.jsonl"));
+        let live = Path::new(&out).join(format!("{kind}-live.json"));
+        let replay = Path::new(&out).join(format!("{kind}-replay.json"));
+        let status = Command::new(monitord_bin())
+            .args(["--hosts", "2", "--transactions", "3000", "--detector", kind])
+            .args(["--trace", trace.to_str().unwrap()])
+            .args(["--report", live.to_str().unwrap()])
+            .output()
+            .expect("monitord runs")
+            .status;
+        assert!(status.success(), "{kind} live run");
+        let status = Command::new(monitord_bin())
+            .args(["--replay", trace.to_str().unwrap()])
+            .args(["--report", replay.to_str().unwrap()])
+            .output()
+            .expect("monitord runs")
+            .status;
+        assert!(status.success(), "{kind} replay");
+        assert_eq!(
+            std::fs::read(&live).unwrap(),
+            std::fs::read(&replay).unwrap(),
+            "{kind}: the Start header must rebuild the live detectors"
+        );
+    }
+}
+
+#[test]
 fn monitord_reports_a_torn_resume_checkpoint_cleanly() {
     let out = tempdir("monitord-torn-resume");
     let ckpt = Path::new(&out).join("torn.json");

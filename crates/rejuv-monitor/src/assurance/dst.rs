@@ -769,13 +769,7 @@ fn judge_artifacts(
 
     // G4: a seeded corruption of the surviving state must be rejected
     // without leaving a mark on the continuation supervisor.
-    let base = match snapshot {
-        Some(snap) => snap,
-        None => match continuation.snapshot() {
-            Some(snap) => snap,
-            None => return,
-        },
-    };
+    let base = snapshot.unwrap_or_else(|| continuation.snapshot());
     let mut rng = RngStreams::new(seed).stream(label(&format!("corrupt-{context}")));
     let bad = corrupt_snapshot(base, (rng.random::<f64>() * 4.0) as u64);
     match check_g4_rejection_is_pure(&mut continuation, &bad) {
@@ -818,12 +812,10 @@ fn corrupt_snapshot(mut snap: SupervisorSnapshot, mode: u64) -> SupervisorSnapsh
             // scenario, so swapping them is a guaranteed kind mismatch.
             snap.shards.swap(0, 1);
         }
-        _ => match snap.shards[0].spec.as_mut() {
-            Some(spec) => spec.mu += 1.5,
-            // +9 keeps the fallback clear of every *accepted* version
-            // (v3 and the dead-letter v4) for any current value.
-            None => snap.version = snap.version.wrapping_add(9),
-        },
+        _ => {
+            let spec = snap.shards[0].spec.as_mut();
+            spec.expect("this build's checkpoints carry specs").mu += 1.5;
+        }
     }
     snap
 }
@@ -846,7 +838,7 @@ mod tests {
         for i in 0..120u64 {
             sup.process_sync((i % 3) as usize, 4.0).unwrap();
         }
-        let snap = sup.snapshot().unwrap();
+        let snap = sup.snapshot();
         for mode in 0..4 {
             let bad = corrupt_snapshot(snap.clone(), mode);
             assert!(

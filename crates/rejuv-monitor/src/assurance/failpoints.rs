@@ -5,14 +5,14 @@
 //! `fp!("site-name")` marker. Without the `failpoints` cargo feature
 //! the macro expands to *nothing* (the call site is `cfg`-stripped, so
 //! default builds pay zero overhead and stay byte-identical). With the
-//! feature, each marker calls [`hit`], which is a single relaxed atomic
+//! feature, each marker calls `hit`, which is a single relaxed atomic
 //! load until a deterministic-simulation session arms a site; an armed
 //! site counts down a seeded hit index and then simulates a crash by
-//! panicking with a [`FailpointCrash`] payload the harness catches.
+//! panicking with a `FailpointCrash` payload the harness catches.
 //!
 //! The [`CATALOG`] is the static registry of every site name; tests
 //! enumerate it to prove each site is exercised by at least one
-//! kill/resume trace (see [`crate::assurance::dst`]).
+//! kill/resume trace (see the feature-gated `assurance::dst` harness).
 
 /// Marks a crash-simulation site. Expands to nothing unless the crate
 /// is built with `--features failpoints`.

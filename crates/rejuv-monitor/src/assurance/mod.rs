@@ -12,7 +12,7 @@
 //!   feature is on) plus the static [`failpoints::CATALOG`].
 //! * [`oracle`] — always-compiled checkers `check_g1` … `check_g4`
 //!   over the artifacts a run leaves behind.
-//! * [`dst`] — the deterministic-simulation harness (feature-gated):
+//! * `dst` — the deterministic-simulation harness (feature-gated):
 //!   for each failpoint × seeded schedule it runs a workload, crashes
 //!   at the site, resumes from the surviving checkpoint + trace, and
 //!   feeds the oracles. Driven by `monitord --dst` and the

@@ -357,7 +357,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let sup = seeded_supervisor();
-        let snap = sup.snapshot().unwrap();
+        let snap = sup.snapshot();
         checkpoint::save_snapshot(&path, &snap).unwrap();
         assert_eq!(
             check_g1_checkpoint_integrity(&path, 2).unwrap(),
@@ -392,13 +392,13 @@ mod tests {
     #[test]
     fn g4_passes_on_the_typed_rejections_and_catches_accepted_garbage() {
         let mut sup = seeded_supervisor();
-        let mut bad = sup.snapshot().unwrap();
+        let mut bad = sup.snapshot();
         bad.version += 9;
         check_g4_rejection_is_pure(&mut sup, &bad).unwrap();
 
         // A snapshot that *is* valid must make the oracle complain that
         // restore accepted it.
-        let good = sup.snapshot().unwrap();
+        let good = sup.snapshot();
         let err = check_g4_rejection_is_pure(&mut sup, &good).unwrap_err();
         assert_eq!(err.guarantee, "G4");
         assert!(err.detail.contains("accepted"), "{}", err.detail);

@@ -134,34 +134,18 @@ impl RejuvenationDetector for MonitorBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::tests::sraa;
     use crate::supervisor::SupervisorConfig;
-    use rejuv_core::{Sraa, SraaConfig};
 
     fn supervisor(shards: usize) -> Supervisor {
-        Supervisor::with_shards(SupervisorConfig::default(), shards, |_| {
-            Box::new(Sraa::new(
-                SraaConfig::builder(5.0, 5.0)
-                    .sample_size(2)
-                    .buckets(2)
-                    .depth(1)
-                    .build()
-                    .unwrap(),
-            ))
-        })
+        Supervisor::with_specs(SupervisorConfig::default(), &vec![sraa(); shards]).unwrap()
     }
 
     #[test]
     fn bridge_decisions_match_a_bare_detector() {
         let shared = SharedSupervisor::new(supervisor(2));
         let mut bridge: Box<dyn RejuvenationDetector> = Box::new(shared.bridge(1));
-        let mut reference: Box<dyn RejuvenationDetector> = Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ));
+        let mut reference = sraa().build().unwrap();
         for i in 0..400 {
             let v = if i % 9 < 6 { 55.0 } else { 2.0 };
             assert_eq!(bridge.observe(v), reference.observe(v));

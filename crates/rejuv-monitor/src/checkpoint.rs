@@ -85,19 +85,8 @@ pub fn load_snapshot(path: &Path) -> io::Result<SupervisorSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::tests::sraa;
     use crate::supervisor::{Supervisor, SupervisorConfig};
-    use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-
-    fn sraa() -> Box<dyn RejuvenationDetector> {
-        Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ))
-    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -110,11 +99,11 @@ mod tests {
     fn save_load_round_trips() {
         let dir = scratch_dir("roundtrip");
         let path = dir.join("ckpt.json");
-        let mut sup = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| sraa());
+        let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         for i in 0..25 {
             sup.process_sync(i % 2, 40.0).unwrap();
         }
-        let snap = sup.snapshot().unwrap();
+        let snap = sup.snapshot();
         save_snapshot(&path, &snap).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), snap);
         assert!(
@@ -128,8 +117,8 @@ mod tests {
     fn crash_before_rename_never_exposes_a_torn_checkpoint() {
         let dir = scratch_dir("torn");
         let path = dir.join("ckpt.json");
-        let sup = Supervisor::with_shards(SupervisorConfig::default(), 1, |_| sraa());
-        let old = sup.snapshot().unwrap();
+        let sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa()]).unwrap();
+        let old = sup.snapshot();
         save_snapshot(&path, &old).unwrap();
 
         // Simulate a crash that died after partially writing the
@@ -143,9 +132,9 @@ mod tests {
         );
 
         // And the next successful save simply replaces the leftovers.
-        let mut sup = Supervisor::with_shards(SupervisorConfig::default(), 1, |_| sraa());
+        let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa()]).unwrap();
         sup.process_sync(0, 60.0).unwrap();
-        let new = sup.snapshot().unwrap();
+        let new = sup.snapshot();
         save_snapshot(&path, &new).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), new);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -155,11 +144,11 @@ mod tests {
     fn load_rejects_a_mid_json_truncation_and_restore_stays_untouched() {
         let dir = scratch_dir("midcut");
         let path = dir.join("ckpt.json");
-        let mut sup = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| sraa());
+        let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         for i in 0..40 {
             sup.process_sync(i % 2, 45.0).unwrap();
         }
-        save_snapshot(&path, &sup.snapshot().unwrap()).unwrap();
+        save_snapshot(&path, &sup.snapshot()).unwrap();
 
         // Cut the published file mid-JSON (a torn copy, an interrupted
         // download, a filesystem that lied about durability).
@@ -175,7 +164,7 @@ mod tests {
         // A supervisor asked to resume from the torn file must be left
         // exactly as it was — the load already failed, so nothing is
         // ever handed to restore.
-        let fresh = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| sraa());
+        let fresh = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         let before = serde_json::to_string(&fresh.report()).unwrap();
         assert!(load_snapshot(&path).is_err());
         assert_eq!(serde_json::to_string(&fresh.report()).unwrap(), before);
@@ -186,8 +175,8 @@ mod tests {
     fn load_rejects_trailing_garbage() {
         let dir = scratch_dir("trailing");
         let path = dir.join("ckpt.json");
-        let sup = Supervisor::with_shards(SupervisorConfig::default(), 1, |_| sraa());
-        save_snapshot(&path, &sup.snapshot().unwrap()).unwrap();
+        let sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa()]).unwrap();
+        save_snapshot(&path, &sup.snapshot()).unwrap();
 
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"}} trailing junk");

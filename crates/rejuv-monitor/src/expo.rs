@@ -1,10 +1,10 @@
 //! Prometheus text exposition of the monitoring runtime.
 //!
-//! The end-of-run [`MonitorReport`](crate::MonitorReport) is a
+//! The end-of-run [`MonitorReport`] is a
 //! *post-mortem* artifact; a live operator needs to watch a shard
 //! saturate or a detector fire while the run is still going. This
 //! module renders a **point-in-time snapshot** of the supervisor —
-//! registry counters/gauges/histograms, per-shard accounting and
+//! report counters/gauges/histograms, per-shard accounting and
 //! runtime gauges (queue backlog, dead-letters pending), per-kind
 //! fleet rollups, and optional drain-plane telemetry — in the
 //! [Prometheus text exposition format] (version `0.0.4`).
@@ -20,7 +20,7 @@
 //!    with and without a scraper attached.
 //! 2. **Stable output.** Metric families render in a fixed section
 //!    order; within a family, series follow shard index / sorted kind
-//!    name / sorted registry name (the registry's `BTreeMap`s). Two
+//!    name / sorted metric name (the report's `BTreeMap`s). Two
 //!    captures of the same state render byte-identical bodies.
 //! 3. **Format conformance.** Metric names are sanitised to
 //!    `[a-zA-Z_:][a-zA-Z0-9_:]*`, label values escape `\`, `"` and
@@ -224,8 +224,8 @@ impl Family<'_> {
     }
 }
 
-/// Renders one registry histogram as cumulative `_bucket`/`_sum`/
-/// `_count` series. The registry stores *per-bucket* counts (last
+/// Renders one report histogram as cumulative `_bucket`/`_sum`/
+/// `_count` series. The report stores *per-bucket* counts (last
 /// entry = overflow past the top bound); the exposition accumulates
 /// them so each `le` bucket counts everything at or below its bound,
 /// ending with `+Inf` == `_count`.
@@ -257,9 +257,9 @@ fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
 /// Renders the snapshot as a Prometheus text exposition body.
 ///
 /// Section order is fixed (self-telemetry, per-shard families,
-/// per-kind rollups, drain plane, registry export); within a family,
+/// per-kind rollups, drain plane, report metrics); within a family,
 /// series order follows shard index, sorted detector-kind name, or
-/// sorted registry name. Rendering the same snapshot twice produces
+/// sorted metric name. Rendering the same snapshot twice produces
 /// byte-identical bodies.
 pub fn render(snap: &ExpoSnapshot) -> String {
     let mut out = String::with_capacity(4096);
@@ -449,7 +449,7 @@ pub fn render(snap: &ExpoSnapshot) -> String {
         }
     }
 
-    // Registry export: counters, gauges, histograms (BTreeMap order).
+    // Report metrics: counters, gauges, histograms (BTreeMap order).
     for (name, value) in &report.metrics.counters {
         let metric = format!("{PREFIX}{}_total", sanitize_metric_name(name));
         family(
@@ -687,26 +687,11 @@ pub fn lint(body: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::supervisor::tests::sraa;
     use crate::supervisor::SupervisorConfig;
-    use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
-
-    fn sraa() -> Box<dyn RejuvenationDetector> {
-        Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ))
-    }
 
     fn sample_supervisor() -> Supervisor {
-        let mut sup = Supervisor::new(SupervisorConfig::default());
-        sup.add_shard(sraa());
-        sup.add_shard(sraa());
-        sup
+        Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap()
     }
 
     #[test]
@@ -764,14 +749,14 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_with_inf_equal_to_count() {
-        let mut reg = MetricsRegistry::new();
-        reg.register_histogram("lat.ms", &[1.0, 5.0, 25.0]);
-        for v in [0.5, 0.9, 3.0, 30.0, 400.0] {
-            reg.observe("lat.ms", v);
-        }
-        let mut sup = sample_supervisor();
-        *sup.metrics_mut() = reg;
-        let body = render(&ExpoSnapshot::capture(&sup));
+        let mut lat = Histogram::new(&[1.0, 5.0, 25.0]);
+        lat.record_slice(&[0.5, 0.9, 3.0, 30.0, 400.0]);
+        let mut snap = ExpoSnapshot::capture(&sample_supervisor());
+        snap.report
+            .metrics
+            .histograms
+            .insert("lat.ms".to_owned(), lat);
+        let body = render(&snap);
         lint(&body).expect("body lints clean");
 
         let bucket_lines: Vec<&str> = body
@@ -786,7 +771,7 @@ mod tests {
                 "rejuv_lat_ms_bucket{le=\"25\"} 3",
                 "rejuv_lat_ms_bucket{le=\"+Inf\"} 5",
             ],
-            "per-bucket registry counts render as cumulative le series"
+            "per-bucket counts render as cumulative le series"
         );
         assert!(body.contains("rejuv_lat_ms_count 5"));
         assert!(body.contains("rejuv_lat_ms_sum 434.4"));

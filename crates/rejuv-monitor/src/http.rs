@@ -5,7 +5,7 @@
 //! [`std::net::TcpListener`] that answers three `GET` routes:
 //!
 //! * `/metrics` — Prometheus text exposition
-//!   ([`expo::render`](crate::expo::render)) of a point-in-time
+//!   ([`expo::render`]) of a point-in-time
 //!   snapshot captured under one supervisor lock acquisition,
 //! * `/healthz` — `ok` liveness probe,
 //! * `/report` — the current [`MonitorReport`](crate::MonitorReport)
@@ -17,7 +17,7 @@
 //! byte-identical to an unscraped run. The one observable side effect
 //! is deliberate and off the data plane: each `/metrics` hit bumps a
 //! process-local scrape counter and, when an
-//! [`EventBus`](crate::EventBus) is attached to the supervisor,
+//! [`EventBus`] is attached to the supervisor,
 //! publishes [`OpEvent::MetricsScraped`](crate::OpEvent) — the bus is
 //! observational by contract.
 //!
@@ -256,20 +256,13 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::tests::sraa;
     use crate::supervisor::{Supervisor, SupervisorConfig};
-    use rejuv_core::{Sraa, SraaConfig};
 
     fn shared_supervisor() -> SharedSupervisor {
-        let mut sup = Supervisor::new(SupervisorConfig::default());
-        sup.add_shard(Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        )));
-        SharedSupervisor::new(sup)
+        SharedSupervisor::new(
+            Supervisor::with_specs(SupervisorConfig::default(), &[sraa()]).unwrap(),
+        )
     }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {

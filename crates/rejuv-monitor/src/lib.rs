@@ -6,17 +6,20 @@
 //!
 //! * [`supervisor::Supervisor`] — N independent monitored *shards*
 //!   (e.g. one per cluster host), each a bounded ingestion queue
-//!   ([`queue::ObsQueue`]) draining in batches through a boxed
-//!   [`rejuv_core::RejuvenationDetector`], with back-pressure accounting
-//!   so overload drops samples instead of blocking the source,
+//!   ([`queue::ObsQueue`]) draining in batches through the detector its
+//!   [`rejuv_core::DetectorSpec`] describes, with back-pressure
+//!   accounting so overload drops samples instead of blocking the
+//!   source. [`Supervisor::with_specs`] is the one constructor: a
+//!   homogeneous fleet is N copies of one spec, a mixed one comes from
+//!   a [`fleet::FleetConfig`] file, and reports roll up per detector
+//!   kind ([`supervisor::DetectorKindReport`]),
 //! * **checkpoint/resume** — [`Supervisor::snapshot`] captures every
-//!   detector mid-epidemic via `rejuv_core::DetectorSnapshot`;
-//!   [`Supervisor::restore`] resumes behaviour-identically. A
-//!   count-based [`supervisor::CheckpointSink`] streams snapshots to
+//!   detector mid-epidemic via `rejuv_core::DetectorSnapshot`, plus
+//!   each shard's spec; [`Supervisor::restore`] resumes
+//!   behaviour-identically and rejects spec drift. A
+//!   [`supervisor::CheckpointSink`] streams snapshots to
 //!   [`checkpoint::save_snapshot`], which persists them atomically
-//!   (write-temp-then-rename) so a crash never tears the file, and
-//!   [`replay_events_resumed`] continues a recorded run from a
-//!   checkpoint with byte-identical reports,
+//!   (write-temp-then-rename) so a crash never tears the file,
 //! * [`pool::ConsumerPool`] — the drain plane:
 //!   `SupervisorConfig::consumers` worker threads with static
 //!   whole-shard ownership plus bounded work-stealing through an atomic
@@ -24,35 +27,29 @@
 //!   empty (zero idle CPU). Consumer count is a pure execution-strategy
 //!   knob: digests, reports, traces and checkpoints are byte-identical
 //!   across 1/2/4/8 consumers,
-//! * [`metrics::MetricsRegistry`] — counters, gauges and fixed-bucket
-//!   histograms whose exported report is byte-stable,
+//! * [`metrics::MetricsReport`] — counters, gauges and fixed-bucket
+//!   histograms folded from shard state, byte-stable when serialised,
 //! * [`event::EventLog`] — a JSONL event log (run header, observation
 //!   batches, rejuvenations, snapshots) that doubles as a replay script:
-//!   [`replay_events`] re-ingests a recorded log through a fresh
-//!   supervisor and reproduces every decision bit-for-bit,
+//!   [`replay_fleet_events`] re-ingests a recorded log through a fresh
+//!   supervisor and reproduces every decision bit-for-bit, optionally
+//!   resuming from a mid-run checkpoint,
 //! * [`bridge::MonitorBridge`] — a synchronous detector façade so an
 //!   engine-driven model (single-host §3 system, cluster) feeds the
-//!   runtime as if it were a plain detector,
-//! * [`fleet::FleetConfig`] — a TOML-like fleet config file assigning
-//!   each shard its own detector kind and baseline
-//!   ([`rejuv_core::DetectorSpec`]); [`Supervisor::with_specs`] builds
-//!   the mixed fleet, reports roll up per detector kind
-//!   ([`supervisor::DetectorKindReport`]), and [`replay_fleet_events`]
-//!   replays a recorded mixed-fleet log byte-identically.
+//!   runtime as if it were a plain detector.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use rejuv_core::{Sraa, SraaConfig};
+//! use rejuv_core::{DetectorKind, DetectorSpec};
 //! use rejuv_monitor::{Supervisor, SupervisorConfig};
 //!
-//! let config = SraaConfig::builder(5.0, 5.0)
-//!     .sample_size(2).buckets(5).depth(3).build()?;
-//! let mut supervisor = Supervisor::with_shards(
+//! // SRAA at the paper's SLA baseline (µX = σX = 5), n = 2, K = 5, D = 3.
+//! let spec = DetectorSpec::new(DetectorKind::Sraa);
+//! let mut supervisor = Supervisor::with_specs(
 //!     SupervisorConfig::default(),
-//!     4,                                   // four monitored hosts
-//!     |_| Box::new(Sraa::new(config)),
-//! );
+//!     &[spec; 4],                          // four monitored hosts
+//! )?;
 //!
 //! // Producers push through cloneable senders (possibly from other
 //! // threads); the supervisor drains in batches.
@@ -95,7 +92,7 @@ pub use event::{read_events, read_events_tolerant, EventLog, MonitorEvent, Share
 pub use expo::{DrainPlane, ExpoSnapshot, ShardRuntime};
 pub use fleet::{FleetConfig, FleetError};
 pub use http::MetricsServer;
-pub use metrics::{Histogram, HistogramProblem, MetricsRegistry, MetricsReport};
+pub use metrics::{Histogram, HistogramProblem, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
 pub use queue::{ObsQueue, Wakeup, WorkNotifier};
 pub use supervisor::{
@@ -104,83 +101,44 @@ pub use supervisor::{
     SupervisorSnapshot, SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
 };
 
-use rejuv_core::{DetectorSpec, RejuvenationDetector};
+use rejuv_core::DetectorSpec;
 use std::io;
 
 /// Deterministically re-analyses a recorded event log: rebuilds a
-/// supervisor with `shards` streams from `factory` and re-ingests every
+/// supervisor with one shard per [`DetectorSpec`] (exactly what a
+/// [`MonitorEvent::FleetStart`] header carries; a homogeneous run's
+/// `Start` header maps to N copies of one spec) and re-ingests every
 /// [`MonitorEvent::Batch`] / [`MonitorEvent::TimedBatch`] in recorded
 /// order (timestamps included, so latency histograms reproduce too).
 ///
 /// Feeding the resulting supervisor's [`Supervisor::report`] the same
 /// serialisation as the live run's report must yield identical bytes —
 /// the replay-determinism contract `monitord --replay` checks in CI.
+/// `Start`, `FleetStart`, `Rejuvenated` and `Snapshot` events are
+/// informational here: decisions are *recomputed*, not trusted from the
+/// log.
 ///
-/// `Start`, `Rejuvenated` and `Snapshot` events are informational here:
-/// decisions are *recomputed*, not trusted from the log.
-///
-/// # Errors
-///
-/// `InvalidData` for a malformed log, before the offending batch
-/// touches its shard: a batch naming a shard outside the fleet, a
-/// `TimedBatch` whose `times` and `values` differ in length, a `seq`
-/// whose batch overflows `u64`, or a batch larger than the shard's
-/// queue (which a live run could never have drained in one piece).
-/// Otherwise propagates event-log write failures from the replaying
-/// supervisor (only possible if a log was attached to it beforehand).
-pub fn replay_events<F>(
-    events: &[MonitorEvent],
-    config: SupervisorConfig,
-    shards: usize,
-    factory: F,
-) -> io::Result<Supervisor>
-where
-    F: FnMut(usize) -> Box<dyn RejuvenationDetector>,
-{
-    replay_events_resumed(events, config, shards, factory, None)
-}
-
-/// [`replay_events`] resuming from a mid-run checkpoint: the supervisor
-/// is restored from `snapshot` first, and every observation the
-/// checkpoint already covers (per shard, by sequence number) is skipped
-/// instead of re-ingested.
-///
-/// Because live checkpoints land on drain-batch boundaries, the resumed
-/// run drains exactly the batches the uninterrupted run drained after
-/// the checkpoint — so its final report (digests, counters, histograms)
-/// is byte-identical to an uninterrupted replay of the same log. A
-/// batch the checkpoint covers only partially (possible only for
-/// checkpoints not taken by this crate) is re-ingested from its first
-/// uncovered value.
+/// With `snapshot`, the supervisor is restored from it first, and every
+/// observation the checkpoint already covers (per shard, by sequence
+/// number) is skipped instead of re-ingested. Because live checkpoints
+/// land on drain-batch boundaries, the resumed run drains exactly the
+/// batches the uninterrupted run drained after the checkpoint — so its
+/// final report (digests, counters, histograms) is byte-identical to an
+/// uninterrupted replay of the same log. A batch the checkpoint covers
+/// only partially (possible only for checkpoints not taken by this
+/// crate) is re-ingested from its first uncovered value.
 ///
 /// # Errors
 ///
-/// `InvalidData` if the snapshot does not fit the rebuilt supervisor
-/// (see [`Supervisor::restore`]); otherwise as [`replay_events`].
-pub fn replay_events_resumed<F>(
-    events: &[MonitorEvent],
-    config: SupervisorConfig,
-    shards: usize,
-    factory: F,
-    snapshot: Option<&SupervisorSnapshot>,
-) -> io::Result<Supervisor>
-where
-    F: FnMut(usize) -> Box<dyn RejuvenationDetector>,
-{
-    let supervisor = Supervisor::with_shards(config, shards, factory);
-    replay_into(supervisor, events, snapshot)
-}
-
-/// [`replay_events_resumed`] for a heterogeneous fleet: the supervisor
-/// is rebuilt from one [`DetectorSpec`] per shard — exactly what a
-/// [`MonitorEvent::FleetStart`] header carries — then the recorded
-/// batches are re-ingested. Pass `snapshot` to resume from a mid-run
-/// checkpoint with the same byte-identical-report guarantee.
-///
-/// # Errors
-///
-/// `InvalidData` if a spec fails detector validation or the snapshot
-/// does not fit the rebuilt fleet; otherwise as [`replay_events`].
+/// `InvalidData` if a spec fails detector validation, if the snapshot
+/// does not fit the rebuilt fleet (see [`Supervisor::restore`]), or for
+/// a malformed log, before the offending batch touches its shard: a
+/// batch naming a shard outside the fleet, a `TimedBatch` whose `times`
+/// and `values` differ in length, a `seq` whose batch overflows `u64`,
+/// or a batch larger than the shard's queue (which a live run could
+/// never have drained in one piece). Otherwise propagates event-log
+/// write failures from the replaying supervisor (only possible if a log
+/// was attached to it beforehand).
 pub fn replay_fleet_events(
     events: &[MonitorEvent],
     config: SupervisorConfig,
@@ -274,18 +232,7 @@ fn invalid_log(msg: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rejuv_core::{Sraa, SraaConfig};
-
-    fn detector() -> Box<dyn RejuvenationDetector> {
-        Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ))
-    }
+    use crate::supervisor::tests::sraa;
 
     #[test]
     fn replay_reproduces_a_recorded_run_bitwise() {
@@ -296,7 +243,7 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let buffer = SharedBuffer::new();
-        let mut live = Supervisor::with_shards(config, 3, |_| detector());
+        let mut live = Supervisor::with_specs(config, &[sraa(); 3]).unwrap();
         live.set_log(EventLog::new(Box::new(buffer.clone())));
 
         // A deterministic mixed workload: shard 1 degrades, the rest
@@ -321,7 +268,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, MonitorEvent::Snapshot { .. })));
 
-        let replayed = replay_events(&events, config, 3, |_| detector()).unwrap();
+        let replayed = replay_fleet_events(&events, config, &[sraa(); 3], None).unwrap();
         let live_report = live.report();
         let replay_report = replayed.report();
         // Replay preserves batch grouping (each recorded Batch is
@@ -336,7 +283,7 @@ mod tests {
     }
 
     fn replay_err(events: &[MonitorEvent], config: SupervisorConfig) -> io::Error {
-        match replay_events(events, config, 2, |_| detector()) {
+        match replay_fleet_events(events, config, &[sraa(); 2], None) {
             Ok(_) => panic!("a malformed log must not replay"),
             Err(e) => e,
         }
@@ -373,7 +320,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("holds 10 values"), "{err}");
         // A batch that fits the same queue replays with nothing dropped.
-        let ok = replay_events(&[batch(1, 0, 4)], config, 2, |_| detector()).unwrap();
+        let ok = replay_fleet_events(&[batch(1, 0, 4)], config, &[sraa(); 2], None).unwrap();
         assert_eq!((ok.processed(1), ok.report().total_dropped), (4, 0));
     }
 

@@ -1,19 +1,20 @@
-//! A lightweight, deterministic metrics registry.
+//! Deterministic metrics: fixed-bucket histograms and the report that
+//! carries them.
 //!
-//! Three instrument kinds, mirroring what a production monitoring stack
-//! exports:
+//! A [`MetricsReport`] holds three instrument kinds, mirroring what a
+//! production monitoring stack exports:
 //!
 //! * **counters** — monotonic `u64` totals (observations processed,
 //!   rejuvenations fired),
-//! * **gauges** — last-write-wins `f64` levels (queue depth, shard
-//!   count),
+//! * **gauges** — `f64` levels (shard counts),
 //! * **histograms** — fixed-bucket distributions with lifetime count and
 //!   sum (observation values, drain batch sizes).
 //!
-//! The registry is plain data behind `BTreeMap`s: exporting it yields a
-//! [`MetricsReport`] whose JSON rendering is byte-stable across runs —
-//! the property `monitord --replay` relies on to prove a re-analysis
-//! reproduced the live run exactly. Nothing here reads the wall clock.
+//! The supervisor folds every instrument from per-shard state. The
+//! report is plain data behind `BTreeMap`s, so its JSON rendering is
+//! byte-stable across runs — the property `monitord --replay` relies on
+//! to prove a re-analysis reproduced the live run exactly. Nothing here
+//! reads the wall clock.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -242,94 +243,8 @@ impl fmt::Display for HistogramProblem {
     }
 }
 
-/// A registry of named counters, gauges and histograms.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `by` to the named monotonic counter, creating it at zero.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
-    }
-
-    /// Reads a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets the named gauge.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Reads a gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Registers a histogram with the given bounds if absent; no-op for
-    /// an existing name (the original bounds win).
-    pub fn register_histogram(&mut self, name: &str, bounds: &[f64]) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds));
-    }
-
-    /// Records into a registered histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram was never registered — instrument names
-    /// are static, so an unknown name is a programming error.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("histogram {name} was never registered"))
-            .record(value);
-    }
-
-    /// Reads a histogram, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Inserts (or replaces) a fully-built histogram under `name` — the
-    /// supervisor's merge path, which folds per-shard histograms into a
-    /// report-ready instrument in one shot.
-    pub(crate) fn insert_histogram(&mut self, name: &str, histogram: Histogram) {
-        self.histograms.insert(name.to_owned(), histogram);
-    }
-
-    /// Rebuilds a registry from an exported report, resuming every
-    /// instrument at its exported state (the checkpoint-restore path).
-    pub fn from_report(report: &MetricsReport) -> Self {
-        MetricsRegistry {
-            counters: report.counters.clone(),
-            gauges: report.gauges.clone(),
-            histograms: report.histograms.clone(),
-        }
-    }
-
-    /// Exports everything as a serialisable, order-stable report.
-    pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
-/// A point-in-time export of a [`MetricsRegistry`].
+/// The monitoring plane's metrics: named counters, gauges and
+/// histograms, as folded from shard state for a report or checkpoint.
 ///
 /// `BTreeMap`-backed, so serialising the same state always yields the
 /// same bytes — reports are directly `diff`-able.
@@ -366,25 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_gauges() {
-        let mut m = MetricsRegistry::new();
-        m.inc("obs", 3);
-        m.inc("obs", 2);
-        m.set_gauge("depth", 4.0);
-        m.set_gauge("depth", 7.0);
-        assert_eq!(m.counter("obs"), 5);
-        assert_eq!(m.counter("never"), 0);
-        assert_eq!(m.gauge("depth"), Some(7.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "never registered")]
-    fn observing_unregistered_histogram_panics() {
-        let mut m = MetricsRegistry::new();
-        m.observe("latency", 1.0);
-    }
-
-    #[test]
     fn merge_adds_counts_and_sums_in_call_order() {
         let mut a = Histogram::new(&[1.0, 10.0]);
         let mut b = Histogram::new(&[1.0, 10.0]);
@@ -413,18 +309,18 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut m = MetricsRegistry::new();
-        m.inc("rejuvenations", 2);
-        m.set_gauge("shards", 4.0);
-        m.register_histogram("value", &[1.0, 5.0, 25.0]);
-        m.observe("value", 3.5);
-        m.observe("value", 50.0);
-        let report = m.report();
+        let mut value = Histogram::new(&[1.0, 5.0, 25.0]);
+        value.record_slice(&[3.5, 50.0]);
+        let report = MetricsReport {
+            counters: BTreeMap::from([("rejuvenations".to_owned(), 2)]),
+            gauges: BTreeMap::from([("shards".to_owned(), 4.0)]),
+            histograms: BTreeMap::from([("value".to_owned(), value)]),
+        };
         let text = serde_json::to_string(&report).unwrap();
         let back: MetricsReport = serde_json::from_str(&text).unwrap();
         assert_eq!(report, back);
         // Same state, same bytes: the replay-determinism contract.
-        assert_eq!(text, serde_json::to_string(&m.report()).unwrap());
+        assert_eq!(text, serde_json::to_string(&back).unwrap());
     }
 
     /// Histograms the branch-free bulk index must agree on: the three

@@ -36,7 +36,7 @@
 //! excludes mid-batch state), flushes the events, then hands the
 //! assembled [`SupervisorSnapshot`] to the sink. Shards are *not*
 //! stopped globally — per-shard batch-boundary consistency is exactly
-//! what [`crate::replay_events_resumed`] needs, since it skips each
+//! what [`crate::replay_fleet_events`] needs, since it skips each
 //! shard's covered prefix independently.
 //!
 //! Shutdown is a drain barrier: every worker sweeps *every* shard
@@ -48,11 +48,10 @@ use crate::assurance::failpoints::fp;
 use crate::bridge::SharedSupervisor;
 use crate::bus::{EventBus, OpEvent};
 use crate::event::MonitorEvent;
-use crate::metrics::MetricsRegistry;
 use crate::queue::{ObsQueue, Wakeup, WorkNotifier};
 use crate::supervisor::{
-    drain_shard, CheckpointStream, DlqSnapshot, DrainScratch, MetricsFold, Shard, Supervisor,
-    SupervisorConfig, SupervisorParts, SupervisorSnapshot, SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
+    drain_shard, CheckpointStream, DrainScratch, MetricsFold, Shard, Supervisor, SupervisorConfig,
+    SupervisorParts, SupervisorSnapshot,
 };
 use crate::EventLog;
 use std::io;
@@ -76,10 +75,9 @@ struct ShardSlot {
     cell: Mutex<ShardCell>,
 }
 
-/// Serialised supervisor-global state: the base metrics registry, the
-/// event log, and the checkpoint stream.
+/// Serialised supervisor-global state: the event log and the
+/// checkpoint stream.
 struct PoolControl {
-    metrics: MetricsRegistry,
     log: Option<EventLog>,
     checkpoint: Option<CheckpointStream>,
 }
@@ -142,7 +140,6 @@ impl PoolShared {
             slots,
             owner,
             control: Mutex::new(PoolControl {
-                metrics: parts.metrics,
                 log: parts.log,
                 checkpoint: parts.checkpoint,
             }),
@@ -248,38 +245,9 @@ impl PoolShared {
             }
             log.flush()?;
         }
-        // A detector without snapshot support skips the checkpoint (the
-        // log was still flushed — covering *more* than a checkpoint is
-        // always safe for recovery).
-        let Some(shards) = views.into_iter().collect::<Option<Vec<_>>>() else {
-            return Ok(());
-        };
-        let total: u64 = shards.iter().map(|s| s.processed).sum();
-        // Mirror `Supervisor::snapshot`: one dead-letter entry per
-        // DLQ-attached shard (pending or not) flips the format to v4.
-        let mut dlq = Vec::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(d) = slot.queue.dlq() {
-                let stats = d.stats();
-                dlq.push(DlqSnapshot {
-                    shard: i as u32,
-                    samples: d.contents(),
-                    captured: stats.captured,
-                    replayed: stats.replayed,
-                    overflow: stats.overflow,
-                });
-            }
-        }
-        let snapshot = SupervisorSnapshot {
-            version: if dlq.is_empty() {
-                SNAPSHOT_VERSION
-            } else {
-                SNAPSHOT_VERSION_DLQ
-            },
-            shards,
-            metrics: fold.apply(&control.metrics).report(),
-            dlq,
-        };
+        let snapshot =
+            SupervisorSnapshot::assemble(views, fold, self.slots.iter().map(|s| &s.queue));
+        let total: u64 = snapshot.shards.iter().map(|s| s.processed).sum();
         if let Some(stream) = control.checkpoint.as_mut() {
             stream.emit(&snapshot, total)?;
         }
@@ -640,7 +608,6 @@ impl ConsumerPool {
                 let supervisor = Supervisor::from_parts(SupervisorParts {
                     config,
                     shards,
-                    metrics: control.metrics,
                     log: control.log,
                     checkpoint: control.checkpoint,
                     bus,
@@ -709,9 +676,10 @@ fn shared_worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::tests::sraa;
     use crate::supervisor::SupervisorConfig;
     use proptest::prelude::*;
-    use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+    use rejuv_core::RejuvenationDetector;
 
     #[test]
     fn join_workers_stops_every_worker_before_reraising_a_panic() {
@@ -737,17 +705,6 @@ mod tests {
         );
     }
 
-    fn sraa() -> Box<dyn RejuvenationDetector> {
-        Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ))
-    }
-
     /// A deterministic per-shard workload with occasional spikes.
     fn synthetic(shard: u64, i: u64) -> f64 {
         let spike = if i.is_multiple_of(97) { 40.0 } else { 0.0 };
@@ -755,16 +712,16 @@ mod tests {
     }
 
     fn preloaded(shards: usize, per_shard: usize, consumers: usize) -> Supervisor {
-        let sup = Supervisor::with_shards(
+        let sup = Supervisor::with_specs(
             SupervisorConfig {
                 queue_capacity: shards * per_shard + 1,
                 drain_batch: 16,
                 consumers,
                 ..SupervisorConfig::default()
             },
-            shards,
-            |_| sraa(),
-        );
+            &vec![sraa(); shards],
+        )
+        .unwrap();
         for s in 0..shards {
             for i in 0..per_shard {
                 assert!(sup.ingest(s, synthetic(s as u64, i as u64)));
@@ -801,16 +758,16 @@ mod tests {
     #[test]
     fn live_blocking_producers_are_loss_free_across_counts() {
         for consumers in [1usize, 2, 4] {
-            let sup = Supervisor::with_shards(
+            let sup = Supervisor::with_specs(
                 SupervisorConfig {
                     queue_capacity: 64,
                     drain_batch: 16,
                     consumers,
                     ..SupervisorConfig::default()
                 },
-                3,
-                |_| sraa(),
-            );
+                &[sraa(); 3],
+            )
+            .unwrap();
             let senders: Vec<_> = (0..3).map(|s| sup.sender(s)).collect();
             let pool = ConsumerPool::spawn(sup);
             std::thread::scope(|scope| {
@@ -850,14 +807,14 @@ mod tests {
 
     #[test]
     fn pool_workers_park_while_idle() {
-        let sup = Supervisor::with_shards(
+        let sup = Supervisor::with_specs(
             SupervisorConfig {
                 consumers: 3,
                 ..SupervisorConfig::default()
             },
-            3,
-            |_| sraa(),
-        );
+            &[sraa(); 3],
+        )
+        .unwrap();
         let sender = sup.sender(1);
         let pool = ConsumerPool::spawn(sup);
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -874,7 +831,7 @@ mod tests {
 
     #[test]
     fn shared_pool_coexists_with_bridges() {
-        let supervisor = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| sraa());
+        let supervisor = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         let shared = SharedSupervisor::new(supervisor);
         let pool = ConsumerPool::spawn_shared(&shared);
         let mut bridge = shared.bridge(0);
@@ -908,14 +865,14 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert!(!seen.is_empty(), "the cadence fired at least once");
         for snap in seen.iter() {
-            let mut resumed = Supervisor::with_shards(
+            let mut resumed = Supervisor::with_specs(
                 SupervisorConfig {
                     consumers: 4,
                     ..SupervisorConfig::default()
                 },
-                3,
-                |_| sraa(),
-            );
+                &[sraa(); 3],
+            )
+            .unwrap();
             resumed.restore(snap).expect("pool checkpoints restore");
             // Every per-shard prefix lands on a drain-batch boundary
             // (or the end of the preload), which is what resumed
@@ -954,16 +911,12 @@ mod tests {
             steps in proptest::collection::vec(step_strategy(3, 4), 0..120),
         ) {
             const SHARDS: usize = 4;
-            let sup = Supervisor::with_shards(
-                SupervisorConfig {
+            let sup = Supervisor::with_specs(SupervisorConfig {
                     queue_capacity: 8,
                     drain_batch: 4,
                     consumers: 3,
                     ..SupervisorConfig::default()
-                },
-                SHARDS,
-                |_| sraa(),
-            );
+                }, &[sraa(); SHARDS]).unwrap();
             let shared = PoolShared::build(sup.into_parts(), 3);
             let mut sent: Vec<u64> = vec![0; SHARDS];
             let mut accepted_values: Vec<Vec<f64>> = vec![Vec::new(); SHARDS];
@@ -1014,7 +967,7 @@ mod tests {
                 prop_assert_eq!(cell.shard.processed, accepted_values[s].len() as u64);
                 // FIFO order: the digest matches a serial reference fed
                 // the accepted values in push order.
-                let mut reference = sraa();
+                let mut reference = sraa().build().unwrap();
                 let mut digest = {
                     let mut d = 0xcbf2_9ce4_8422_2325u64;
                     for &b in reference.name().as_bytes() {

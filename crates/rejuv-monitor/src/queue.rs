@@ -31,7 +31,7 @@
 //! sleeps forever on space that cannot free.
 //!
 //! Lossy pushes need not mean lost samples: attaching a
-//! [`DeadLetterQueue`](crate::dlq::DeadLetterQueue) (see
+//! [`DeadLetterQueue`] (see
 //! [`crate::supervisor::Supervisor::enable_dlq`]) diverts what a full
 //! queue would drop into a bounded side buffer, replayed in FIFO order
 //! by the drain path once back-pressure clears.
@@ -476,7 +476,7 @@ impl ObsQueue {
     /// drain plane is gone, so space will never free and a blocking
     /// push sleeping on it would hang forever. Blocking pushes observe
     /// the flag and return short instead. Sticky until
-    /// [`ObsQueue::clear_shutdown`] (the consumer pool clears it on
+    /// `ObsQueue::clear_shutdown` (the consumer pool clears it on
     /// spawn so drain planes can run back to back on one supervisor);
     /// non-blocking pushes and drains are unaffected.
     pub fn shutdown(&self) {

@@ -29,8 +29,10 @@
 //! versions with a typed [`RestoreError`] instead of silently
 //! misapplying state.
 //!
-//! Fleets need not be homogeneous: [`Supervisor::with_specs`] builds one
-//! shard per [`DetectorSpec`] (see [`crate::fleet::FleetConfig`]), each
+//! Every shard is built from a [`DetectorSpec`]
+//! ([`Supervisor::with_specs`], see [`crate::fleet::FleetConfig`]) and
+//! keeps it: checkpoints carry it, restore rejects drift from it, and
+//! hot reload diffs against it. Fleets need not be homogeneous: each
 //! shard's digest is seeded with its detector kind name, and reports
 //! carry a per-kind [`DetectorKindReport`] rollup.
 
@@ -38,7 +40,7 @@ use crate::assurance::failpoints::fp;
 use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
 use crate::event::{EventLog, MonitorEvent};
-use crate::metrics::{Histogram, HistogramProblem, MetricsRegistry, MetricsReport};
+use crate::metrics::{Histogram, HistogramProblem, MetricsReport};
 use crate::queue::{ObsQueue, UNTIMED};
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
 use rejuv_sim::{Observation, ObservationSink};
@@ -172,18 +174,17 @@ impl CheckpointStream {
 /// One monitored stream: a bounded ingestion queue, a boxed detector,
 /// and *all* run accounting for that stream — counters, digest, and the
 /// three per-shard histograms. Keeping the histograms per shard (rather
-/// than in one shared registry) is what makes reports and checkpoints
+/// than in one shared instrument) is what makes reports and checkpoints
 /// byte-identical no matter how many consumer threads drained the fleet
 /// or in what interleaving: each shard's floating-point accumulation
 /// order is fixed by its own observation sequence, and the supervisor
-/// folds shards in index order when it builds the merged registry.
+/// folds shards in index order when it builds the metrics report.
 /// Crate-visible so the consumer pool can own shards directly.
 pub(crate) struct Shard {
     pub(crate) detector: Box<dyn RejuvenationDetector>,
-    /// The declarative spec this shard was built from, when the
-    /// supervisor was assembled from a fleet config ([`None`] for
-    /// detectors handed in as opaque boxes).
-    pub(crate) spec: Option<DetectorSpec>,
+    /// The declarative spec `detector` was built from (or last rebuilt
+    /// from by [`Supervisor::reload_specs`]).
+    pub(crate) spec: DetectorSpec,
     pub(crate) queue: ObsQueue,
     /// Observations fed through the detector so far.
     pub(crate) processed: u64,
@@ -239,12 +240,11 @@ fn fold_sample(digest: u64, value_bits: u64, fired: bool) -> u64 {
 }
 
 impl Shard {
-    /// This shard's slice of a [`SupervisorSnapshot`]; `None` when the
-    /// detector does not support snapshots.
-    pub(crate) fn snapshot_view(&self) -> Option<ShardSnapshot> {
-        Some(ShardSnapshot {
-            detector: self.detector.snapshot()?,
-            spec: self.spec,
+    /// This shard's slice of a [`SupervisorSnapshot`].
+    pub(crate) fn snapshot_view(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            detector: self.detector_state(),
+            spec: Some(self.spec),
             processed: self.processed,
             rejuvenations: self.rejuvenations,
             digest: self.digest,
@@ -257,7 +257,16 @@ impl Shard {
             latency_hist: self.latency_hist.clone(),
             snapshots: self.snapshots,
             sync_drops: self.sync_drops,
-        })
+        }
+    }
+
+    /// The detector's complete state. Every spec-built detector
+    /// snapshots, and [`Supervisor::with_specs_wrapped`] checks that a
+    /// wrapped one still does.
+    fn detector_state(&self) -> DetectorSnapshot {
+        self.detector
+            .snapshot()
+            .expect("spec-built detectors always snapshot")
     }
 
     /// This shard's slice of a [`MonitorReport`].
@@ -467,35 +476,36 @@ pub(crate) fn drain_shard(
     if let Some(every) = config.snapshot_every {
         let crossed = (shard.processed / every) > (seq_start / every);
         if crossed {
-            if let Some(state) = shard.detector.snapshot() {
-                shard.snapshots += 1;
-                if logging {
-                    events.push(MonitorEvent::Snapshot {
-                        shard: index as u32,
-                        seq: shard.processed - 1,
-                        state,
-                    });
-                }
+            shard.snapshots += 1;
+            if logging {
+                events.push(MonitorEvent::Snapshot {
+                    shard: index as u32,
+                    seq: shard.processed - 1,
+                    state: shard.detector_state(),
+                });
             }
         }
     }
     batch.len()
 }
 
-/// Folds per-shard metric state (histograms and derived counters) into
-/// a merged registry, in whatever order shards are [`MetricsFold::add`]ed
-/// — callers add in shard-index order, which is what pins the merged
-/// floating-point sums regardless of drain interleaving. Crate-visible
-/// so the consumer pool can fold shards it holds behind per-shard locks.
+/// Folds per-shard metric state into the [`MetricsReport`], in
+/// whatever order shards are [`MetricsFold::add`]ed — callers add in
+/// shard-index order, which is what pins the merged floating-point sums
+/// regardless of drain interleaving. Every report instrument derives
+/// from shard state, so the report needs nothing else. Crate-visible so
+/// the consumer pool can fold shards it holds behind per-shard locks.
 pub(crate) struct MetricsFold {
     value: Histogram,
     batch: Histogram,
     latency: Histogram,
+    shards: u64,
     processed: u64,
     rejuvenations: u64,
     snapshots: u64,
     sync_drops: u64,
-    by_kind: BTreeMap<String, u64>,
+    /// Per detector kind: (shards, rejuvenations).
+    by_kind: BTreeMap<&'static str, (u64, u64)>,
 }
 
 impl MetricsFold {
@@ -504,6 +514,7 @@ impl MetricsFold {
             value: Histogram::new(&VALUE_BOUNDS),
             batch: Histogram::new(&BATCH_BOUNDS),
             latency: Histogram::new(&LATENCY_BOUNDS),
+            shards: 0,
             processed: 0,
             rejuvenations: 0,
             snapshots: 0,
@@ -517,59 +528,50 @@ impl MetricsFold {
         self.value.merge(&shard.value_hist);
         self.batch.merge(&shard.batch_hist);
         self.latency.merge(&shard.latency_hist);
+        self.shards += 1;
         self.processed += shard.processed;
         self.rejuvenations += shard.rejuvenations;
         self.snapshots += shard.snapshots;
         self.sync_drops += shard.sync_drops;
-        *self
-            .by_kind
-            .entry(shard.detector.name().to_owned())
-            .or_insert(0) += shard.rejuvenations;
+        let kind = self.by_kind.entry(shard.spec.kind.name()).or_insert((0, 0));
+        kind.0 += 1;
+        kind.1 += shard.rejuvenations;
     }
 
-    /// Builds the full registry: the base registry (gauges plus any
-    /// ad-hoc instruments) overlaid with the folded histograms and the
-    /// derived counters. Counter presence mirrors the incremental
-    /// behaviour the registry had when drains updated it directly:
-    /// `observations_processed` and `rejuvenations` exist once anything
-    /// was processed, `snapshots`/`observations_dropped` once nonzero,
-    /// and `rejuvenations_{kind}` always exists for every kind present.
-    pub(crate) fn apply(self, base: &MetricsRegistry) -> MetricsRegistry {
-        let mut merged = base.clone();
-        merged.insert_histogram("observation_value", self.value);
-        merged.insert_histogram("drain_batch_size", self.batch);
-        merged.insert_histogram("inter_observation_latency", self.latency);
+    /// Builds the report. The `shards` and `shards_{kind}` gauges
+    /// count the current topology. `observations_processed` and
+    /// `rejuvenations` exist once anything was processed,
+    /// `snapshots`/`observations_dropped` once nonzero, and
+    /// `rejuvenations_{kind}` for every kind present, fired or not.
+    pub(crate) fn report(self) -> MetricsReport {
+        let mut counters = BTreeMap::new();
+        let mut gauges = BTreeMap::from([("shards".to_owned(), self.shards as f64)]);
         if self.processed > 0 {
-            merged.inc("observations_processed", self.processed);
-            merged.inc("rejuvenations", self.rejuvenations);
+            counters.insert("observations_processed".to_owned(), self.processed);
+            counters.insert("rejuvenations".to_owned(), self.rejuvenations);
         }
         if self.snapshots > 0 {
-            merged.inc("snapshots", self.snapshots);
+            counters.insert("snapshots".to_owned(), self.snapshots);
         }
         if self.sync_drops > 0 {
-            merged.inc("observations_dropped", self.sync_drops);
+            counters.insert("observations_dropped".to_owned(), self.sync_drops);
         }
-        for (kind, fired) in self.by_kind {
-            merged.inc(&format!("rejuvenations_{kind}"), fired);
+        for (kind, (shards, fired)) in self.by_kind {
+            counters.insert(format!("rejuvenations_{kind}"), fired);
+            gauges.insert(format!("shards_{kind}"), shards as f64);
         }
-        merged
+        let histograms = BTreeMap::from([
+            ("observation_value".to_owned(), self.value),
+            ("drain_batch_size".to_owned(), self.batch),
+            ("inter_observation_latency".to_owned(), self.latency),
+        ]);
+        MetricsReport {
+            counters,
+            gauges,
+            histograms,
+        }
     }
 }
-
-/// Histogram names derived from per-shard state; excluded from the base
-/// registry a restore rebuilds (they are re-merged on every export).
-const DERIVED_HISTOGRAMS: [&str; 3] = [
-    "observation_value",
-    "drain_batch_size",
-    "inter_observation_latency",
-];
-/// Counter names derived from per-shard state, plus every counter
-/// starting with `rejuvenations`.
-const DERIVED_COUNTERS: [&str; 3] = [
-    "observations_processed",
-    "snapshots",
-    "observations_dropped",
-];
 
 /// A producer handle for one shard's ingestion queue.
 ///
@@ -712,7 +714,7 @@ pub struct MonitorReport {
     pub total_dropped: u64,
     /// Sum of `rejuvenations` over all shards.
     pub total_rejuvenations: u64,
-    /// The metrics registry export.
+    /// Counters, gauges and histograms folded from every shard.
     pub metrics: MetricsReport,
 }
 
@@ -729,13 +731,52 @@ pub struct SupervisorSnapshot {
     pub version: u32,
     /// Per-shard detector snapshots and counters, by shard index.
     pub shards: Vec<ShardSnapshot>,
-    /// The metrics registry export at checkpoint time.
+    /// The metrics report at checkpoint time. Written for readers of
+    /// the file; [`Supervisor::restore`] rebuilds it from the shards.
     pub metrics: MetricsReport,
     /// Dead-letter state of every shard with a DLQ attached (empty for
     /// v3 checkpoints). Entries are present even when no samples are
     /// pending, so lifetime capture/replay/overflow counters survive a
     /// crash too.
     pub dlq: Vec<DlqSnapshot>,
+}
+
+impl SupervisorSnapshot {
+    /// Assembles a checkpoint from shard views and their metrics fold,
+    /// both taken in shard-index order, plus every shard's queue. One
+    /// dead-letter entry per DLQ-attached shard, pending or not, so
+    /// lifetime counters survive a crash; the format version says v4
+    /// exactly when any entry exists, keeping default (no-DLQ)
+    /// checkpoints byte-identical v3.
+    pub(crate) fn assemble<'a>(
+        shards: Vec<ShardSnapshot>,
+        fold: MetricsFold,
+        queues: impl IntoIterator<Item = &'a ObsQueue>,
+    ) -> SupervisorSnapshot {
+        let mut dlq = Vec::new();
+        for (i, queue) in queues.into_iter().enumerate() {
+            if let Some(d) = queue.dlq() {
+                let stats = d.stats();
+                dlq.push(DlqSnapshot {
+                    shard: i as u32,
+                    samples: d.contents(),
+                    captured: stats.captured,
+                    replayed: stats.replayed,
+                    overflow: stats.overflow,
+                });
+            }
+        }
+        SupervisorSnapshot {
+            version: if dlq.is_empty() {
+                SNAPSHOT_VERSION
+            } else {
+                SNAPSHOT_VERSION_DLQ
+            },
+            shards,
+            metrics: fold.report(),
+            dlq,
+        }
+    }
 }
 
 impl Serialize for SupervisorSnapshot {
@@ -794,9 +835,12 @@ pub struct DlqSnapshot {
 pub struct ShardSnapshot {
     /// The detector's complete state.
     pub detector: DetectorSnapshot,
-    /// The declarative spec the shard was configured from, when known.
-    /// [`Supervisor::restore`] refuses a checkpoint whose spec disagrees
-    /// with the configured shard's (same-kind knob drift included).
+    /// The declarative spec the shard was configured from. Every
+    /// checkpoint this build writes carries it; [`None`] parses so a
+    /// checkpoint from an older build that ran opaque detectors still
+    /// loads. [`Supervisor::restore`] refuses a `Some` spec that
+    /// disagrees with the configured shard's (same-kind knob drift
+    /// included) and keeps the configured spec either way.
     pub spec: Option<DetectorSpec>,
     /// Observations processed when the checkpoint was taken.
     pub processed: u64,
@@ -954,12 +998,6 @@ pub enum ReloadError {
         /// The underlying validation error.
         source: ConfigError,
     },
-    /// The shard was not built from a [`DetectorSpec`] (opaque boxed
-    /// detector), so there is no baseline to diff the new spec against.
-    NotFromSpecs {
-        /// The offending shard.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for ReloadError {
@@ -972,10 +1010,6 @@ impl fmt::Display for ReloadError {
             ReloadError::Spec { shard, source } => {
                 write!(f, "shard {shard}: {source}")
             }
-            ReloadError::NotFromSpecs { shard } => write!(
-                f,
-                "shard {shard} was not built from a spec; hot-reload needs a spec-built fleet"
-            ),
         }
     }
 }
@@ -986,9 +1020,6 @@ impl std::error::Error for ReloadError {}
 pub struct Supervisor {
     config: SupervisorConfig,
     shards: Vec<Shard>,
-    /// Topology gauges and ad-hoc instruments only; per-shard metric
-    /// state is folded in on export (see [`MetricsFold`]).
-    metrics: MetricsRegistry,
     log: Option<EventLog>,
     scratch: DrainScratch,
     event_scratch: Vec<MonitorEvent>,
@@ -1009,127 +1040,92 @@ impl fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// Creates an empty supervisor; add streams with
-    /// [`Supervisor::add_shard`].
-    pub fn new(config: SupervisorConfig) -> Self {
-        assert!(config.drain_batch > 0, "drain batch must be positive");
-        assert!(config.consumers > 0, "consumer count must be positive");
-        // The base registry holds only topology gauges (and any ad-hoc
-        // instruments added via `metrics_mut`); histograms and the
-        // processing counters live per shard and are folded in on every
-        // export — see `MetricsFold`.
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_gauge("shards", 0.0);
-        Supervisor {
-            scratch: DrainScratch::with_capacity(config.drain_batch),
-            config,
-            shards: Vec::new(),
-            metrics,
-            log: None,
-            event_scratch: Vec::new(),
-            checkpoint: None,
-            bus: None,
-        }
-    }
-
-    /// Convenience: a supervisor with `shards` streams from a detector
-    /// factory (shard index passed in).
-    pub fn with_shards<F>(config: SupervisorConfig, shards: usize, mut factory: F) -> Self
-    where
-        F: FnMut(usize) -> Box<dyn RejuvenationDetector>,
-    {
-        let mut sup = Supervisor::new(config);
-        for i in 0..shards {
-            sup.add_shard(factory(i));
-        }
-        sup
-    }
-
     /// A (possibly heterogeneous) supervisor with one shard per spec,
-    /// in order — the fleet-config construction path. Each shard
-    /// remembers its spec, so checkpoints carry the full fleet topology
-    /// and [`Supervisor::restore`] can reject spec drift per shard.
+    /// in order — the one way a supervisor comes to exist. Each shard
+    /// keeps its spec, so checkpoints carry the full fleet topology,
+    /// [`Supervisor::restore`] can reject spec drift per shard, and
+    /// [`Supervisor::reload_specs`] diffs a new fleet against it.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] of the first invalid spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.drain_batch` or `config.consumers` is zero.
     pub fn with_specs(
         config: SupervisorConfig,
         specs: &[DetectorSpec],
     ) -> Result<Self, ConfigError> {
-        let mut sup = Supervisor::new(config);
-        for spec in specs {
-            sup.add_shard_spec(*spec)?;
-        }
-        Ok(sup)
+        Supervisor::with_specs_wrapped(config, specs, |detector| detector)
     }
 
-    /// Adds a monitored stream supervised by `detector`; returns its
-    /// shard index.
-    pub fn add_shard(&mut self, detector: Box<dyn RejuvenationDetector>) -> usize {
-        self.push_shard(detector, None)
-    }
-
-    /// Adds a monitored stream built from a declarative spec; returns
-    /// its shard index.
+    /// [`Supervisor::with_specs`] with every spec-built detector passed
+    /// through `wrap` before it is installed: the seam the batch versus
+    /// per-sample equivalence suite uses to strip detectors of their
+    /// batch kernels. Not meant for other callers.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when the spec fails detector validation.
-    pub fn add_shard_spec(&mut self, spec: DetectorSpec) -> Result<usize, ConfigError> {
-        let detector = spec.build()?;
-        Ok(self.push_shard(detector, Some(spec)))
+    /// As [`Supervisor::with_specs`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Supervisor::with_specs`], and if a wrapped detector's name
+    /// differs from its spec's kind or it cannot snapshot: a shard's
+    /// detector is always the one its spec describes.
+    #[doc(hidden)]
+    pub fn with_specs_wrapped(
+        config: SupervisorConfig,
+        specs: &[DetectorSpec],
+        mut wrap: impl FnMut(Box<dyn RejuvenationDetector>) -> Box<dyn RejuvenationDetector>,
+    ) -> Result<Self, ConfigError> {
+        assert!(config.drain_batch > 0, "drain batch must be positive");
+        assert!(config.consumers > 0, "consumer count must be positive");
+        let mut shards = Vec::with_capacity(specs.len());
+        for &spec in specs {
+            let detector = wrap(spec.build()?);
+            assert_eq!(detector.name(), spec.kind.name(), "wrap kept the kind");
+            assert!(detector.snapshot().is_some(), "wrap kept snapshots");
+            shards.push(Shard {
+                // Seed the decision digest with the detector kind so a
+                // digest certifies *which algorithm* decided, not just
+                // what it decided — two kinds that happen to agree on a
+                // stream still produce distinct digests.
+                digest: fnv1a(FNV_OFFSET, detector.name().as_bytes()),
+                detector,
+                spec,
+                queue: ObsQueue::bounded(config.queue_capacity),
+                processed: 0,
+                rejuvenations: 0,
+                last_at: None,
+                last_decision: Decision::Continue,
+                value_hist: Histogram::new(&VALUE_BOUNDS),
+                batch_hist: Histogram::new(&BATCH_BOUNDS),
+                latency_hist: Histogram::new(&LATENCY_BOUNDS),
+                snapshots: 0,
+                sync_drops: 0,
+                bus: None,
+            });
+        }
+        Ok(Supervisor {
+            scratch: DrainScratch::with_capacity(config.drain_batch),
+            config,
+            shards,
+            log: None,
+            event_scratch: Vec::new(),
+            checkpoint: None,
+            bus: None,
+        })
     }
 
-    fn push_shard(
-        &mut self,
-        detector: Box<dyn RejuvenationDetector>,
-        spec: Option<DetectorSpec>,
-    ) -> usize {
-        // Seed the decision digest with the detector kind so a digest
-        // certifies *which algorithm* decided, not just what it decided
-        // — two kinds that happen to agree on a stream still produce
-        // distinct digests.
-        let digest = fnv1a(FNV_OFFSET, detector.name().as_bytes());
-        let kind = detector.name();
-        self.shards.push(Shard {
-            detector,
-            spec,
-            queue: ObsQueue::bounded(self.config.queue_capacity),
-            processed: 0,
-            rejuvenations: 0,
-            digest,
-            last_at: None,
-            last_decision: Decision::Continue,
-            value_hist: Histogram::new(&VALUE_BOUNDS),
-            batch_hist: Histogram::new(&BATCH_BOUNDS),
-            latency_hist: Histogram::new(&LATENCY_BOUNDS),
-            snapshots: 0,
-            sync_drops: 0,
-            bus: self.bus.clone(),
-        });
-        self.metrics.set_gauge("shards", self.shards.len() as f64);
-        let of_kind = self
-            .shards
-            .iter()
-            .filter(|s| s.detector.name() == kind)
-            .count();
-        self.metrics
-            .set_gauge(&format!("shards_{kind}"), of_kind as f64);
-        // The per-kind rejuvenation counter (`rejuvenations_{kind}`) is
-        // not pre-registered here: `MetricsFold::apply` inserts one for
-        // every kind present in the topology, fired or not.
-        self.shards.len() - 1
-    }
-
-    /// The declarative spec `shard` was built from, when the supervisor
-    /// was assembled from specs ([`None`] for opaque detectors).
+    /// The declarative spec `shard` runs.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn spec(&self, shard: usize) -> Option<&DetectorSpec> {
-        self.shards[shard].spec.as_ref()
+    pub fn spec(&self, shard: usize) -> &DetectorSpec {
+        &self.shards[shard].spec
     }
 
     /// Number of monitored streams.
@@ -1157,7 +1153,7 @@ impl Supervisor {
     /// and a full [`SupervisorSnapshot`] is handed to the sink.
     ///
     /// Checkpoints always land on drain-batch boundaries, so a resumed
-    /// run (see [`crate::replay_events_resumed`]) reproduces the
+    /// run (see [`crate::replay_fleet_events`]) reproduces the
     /// uninterrupted run's report byte-for-byte. Checkpointing leaves no
     /// trace in metrics or digests: a run with checkpoints enabled
     /// reports identically to one without.
@@ -1223,8 +1219,7 @@ impl Supervisor {
     /// format v4 ([`SNAPSHOT_VERSION_DLQ`]), carrying the DLQ contents.
     ///
     /// Call before [`Supervisor::set_bus`] (an already-attached bus is
-    /// propagated here too) and before producers start. Shards added
-    /// later are *not* retrofitted.
+    /// propagated here too) and before producers start.
     ///
     /// # Panics
     ///
@@ -1301,8 +1296,8 @@ impl Supervisor {
     /// nothing drifted).
     ///
     /// Validation is all-or-nothing: every spec is checked (count,
-    /// spec-built shard, detector validation) before any shard is
-    /// mutated, mirroring [`Supervisor::restore`]'s contract.
+    /// detector validation) before any shard is mutated, mirroring
+    /// [`Supervisor::restore`]'s contract.
     ///
     /// # Errors
     ///
@@ -1316,10 +1311,7 @@ impl Supervisor {
         }
         let mut rebuilt: Vec<(usize, Box<dyn RejuvenationDetector>)> = Vec::new();
         for (i, (spec, shard)) in specs.iter().zip(&self.shards).enumerate() {
-            let Some(current) = shard.spec.as_ref() else {
-                return Err(ReloadError::NotFromSpecs { shard: i });
-            };
-            if spec == current {
+            if *spec == shard.spec {
                 continue;
             }
             let detector = spec
@@ -1333,7 +1325,7 @@ impl Supervisor {
             let from = shard.detector.name().to_owned();
             let to = detector.name().to_owned();
             shard.detector = detector;
-            shard.spec = Some(specs[i]);
+            shard.spec = specs[i];
             // Fold the new kind into the *running* digest (same scheme
             // as the construction seed): decisions after the rebuild
             // are certified as the new algorithm's.
@@ -1348,36 +1340,7 @@ impl Supervisor {
             }
             indices.push(i);
         }
-        if !indices.is_empty() {
-            self.refresh_kind_gauges();
-        }
         Ok(indices)
-    }
-
-    /// Recomputes every `shards_{kind}` topology gauge after a reload:
-    /// gauges for kinds no longer present drop to zero rather than
-    /// lingering at a stale count.
-    fn refresh_kind_gauges(&mut self) {
-        let stale: Vec<String> = self
-            .metrics
-            .report()
-            .gauges
-            .keys()
-            .filter(|name| name.starts_with("shards_"))
-            .cloned()
-            .collect();
-        for name in stale {
-            self.metrics.set_gauge(&name, 0.0);
-        }
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for shard in &self.shards {
-            *counts
-                .entry(format!("shards_{}", shard.detector.name()))
-                .or_insert(0) += 1;
-        }
-        for (name, count) in counts {
-            self.metrics.set_gauge(&name, count as f64);
-        }
     }
 
     /// Sum of processed observations over all shards.
@@ -1469,7 +1432,7 @@ impl Supervisor {
     }
 
     /// Immediately emits a checkpoint to the configured sink (no-op
-    /// without one, or when a shard's detector cannot snapshot).
+    /// without one).
     ///
     /// # Errors
     ///
@@ -1482,9 +1445,7 @@ impl Supervisor {
         if let Some(log) = self.log.as_mut() {
             log.flush()?;
         }
-        let Some(snapshot) = self.snapshot() else {
-            return Ok(());
-        };
+        let snapshot = self.snapshot();
         fp!("supervisor.checkpoint-emit");
         let total = self.total_processed();
         if let Some(stream) = self.checkpoint.as_mut() {
@@ -1570,25 +1531,19 @@ impl Supervisor {
         self.shards[shard].queue.backlog_hint()
     }
 
-    /// The metrics registry (for ad-hoc instruments around the runtime).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
-    /// The full registry export: the base registry (gauges, ad-hoc
-    /// instruments) overlaid with per-shard metric state folded in
-    /// shard-index order — the order pin that keeps merged
-    /// floating-point sums byte-stable across drain interleavings.
-    fn merged_metrics(&self) -> MetricsRegistry {
+    /// Every shard's metric state folded in shard-index order — the
+    /// order pin that keeps merged floating-point sums byte-stable
+    /// across drain interleavings.
+    fn fold(&self) -> MetricsFold {
         let mut fold = MetricsFold::new();
         for shard in &self.shards {
             fold.add(shard);
         }
-        fold.apply(&self.metrics)
+        fold
     }
 
     /// Exports the final report: per-shard accounting plus the metrics
-    /// registry.
+    /// folded from it.
     pub fn report(&self) -> MonitorReport {
         let shards: Vec<ShardReport> = self
             .shards
@@ -1617,59 +1572,32 @@ impl Supervisor {
             total_rejuvenations: shards.iter().map(|s| s.rejuvenations).sum(),
             by_detector: by_kind.into_values().collect(),
             shards,
-            metrics: self.merged_metrics().report(),
+            metrics: self.fold().report(),
         }
     }
 
     /// Checkpoints every shard's detector state and the run accounting.
-    ///
-    /// Returns `None` if any shard's detector does not support
-    /// snapshots (all-or-nothing: a partial checkpoint could not be
-    /// restored coherently).
-    pub fn snapshot(&self) -> Option<SupervisorSnapshot> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            shards.push(s.snapshot_view()?);
-        }
-        // One dead-letter entry per DLQ-attached shard, pending or not,
-        // so lifetime counters survive a crash; the format version says
-        // v4 exactly when any entry exists, keeping default (no-DLQ)
-        // checkpoints byte-identical v3.
-        let mut dlq = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some(d) = s.queue.dlq() {
-                let stats = d.stats();
-                dlq.push(DlqSnapshot {
-                    shard: i as u32,
-                    samples: d.contents(),
-                    captured: stats.captured,
-                    replayed: stats.replayed,
-                    overflow: stats.overflow,
-                });
-            }
-        }
-        Some(SupervisorSnapshot {
-            version: if dlq.is_empty() {
-                SNAPSHOT_VERSION
-            } else {
-                SNAPSHOT_VERSION_DLQ
-            },
-            shards,
-            metrics: self.merged_metrics().report(),
-            dlq,
-        })
+    pub fn snapshot(&self) -> SupervisorSnapshot {
+        SupervisorSnapshot::assemble(
+            self.shards.iter().map(Shard::snapshot_view).collect(),
+            self.fold(),
+            self.shards.iter().map(|s| &s.queue),
+        )
     }
 
     /// Restores a checkpoint taken by [`Supervisor::snapshot`]:
-    /// detectors resume mid-epidemic, counters and metrics resume their
-    /// totals. Pending queue contents are untouched.
+    /// detectors resume mid-epidemic, counters and per-shard histograms
+    /// resume their totals. Pending queue contents are untouched. The
+    /// configured specs stay in force, and the checkpoint's `metrics`
+    /// section is not read: the report is rebuilt from shard state.
     ///
     /// # Errors
     ///
     /// [`RestoreError`] if the snapshot version is unknown, the shard
     /// counts differ, a shard's snapshot belongs to a different
-    /// detector kind than the one configured for that shard, or a
-    /// shard's histogram does not fit its configured instrument; the
+    /// detector kind than the one configured for that shard, a shard's
+    /// recorded spec differs from the configured one, or a shard's
+    /// histogram does not fit its configured instrument; the
     /// supervisor is unchanged on error.
     pub fn restore(&mut self, snapshot: &SupervisorSnapshot) -> Result<(), RestoreError> {
         if snapshot.version != SNAPSHOT_VERSION && snapshot.version != SNAPSHOT_VERSION_DLQ {
@@ -1711,14 +1639,15 @@ impl Supervisor {
                     },
                 });
             }
-            if let (Some(expected), Some(found)) = (state.spec.as_ref(), shard.spec.as_ref()) {
-                if expected != found {
-                    return Err(RestoreError::SpecMismatch {
-                        shard: i,
-                        expected: Box::new(*expected),
-                        found: Box::new(*found),
-                    });
-                }
+            // A checkpoint without a spec comes from an older build that
+            // ran opaque detectors: the kind check above is all it can
+            // offer, and the configured spec stays in force.
+            if let Some(found) = shard.spec.filter(|found| *found != state.spec) {
+                return Err(RestoreError::SpecMismatch {
+                    shard: i,
+                    expected: Box::new(state.spec),
+                    found: Box::new(found),
+                });
             }
             // The bulk bucket index assumes the configured (strictly
             // ascending) bounds and one count per bucket; a histogram
@@ -1748,10 +1677,6 @@ impl Supervisor {
             .zip(snapshot.shards.iter().zip(detectors))
         {
             state.detector = detector;
-            // The checkpoint is authoritative for the full shard state,
-            // spec included (equality was enforced above when both
-            // sides knew their spec).
-            state.spec = shard.spec;
             state.processed = shard.processed;
             state.rejuvenations = shard.rejuvenations;
             state.digest = shard.digest;
@@ -1766,18 +1691,6 @@ impl Supervisor {
             state.snapshots = shard.snapshots;
             state.sync_drops = shard.sync_drops;
         }
-        // The snapshot's registry is a *merged* export: strip the
-        // derived instruments back out so the base registry keeps only
-        // gauges and ad-hoc state, and the restored per-shard histograms
-        // and counters are folded in fresh on the next export (instead
-        // of double-counted).
-        let mut base = snapshot.metrics.clone();
-        base.counters.retain(|name, _| {
-            !DERIVED_COUNTERS.contains(&name.as_str()) && !name.starts_with("rejuvenations")
-        });
-        base.histograms
-            .retain(|name, _| !DERIVED_HISTOGRAMS.contains(&name.as_str()));
-        self.metrics = MetricsRegistry::from_report(&base);
         // The checkpoint is authoritative for dead-letter state too: a
         // v3 checkpoint (no entries) resets any attached DLQ, a v4 one
         // reinstates pending samples and lifetime counters wholesale.
@@ -1804,13 +1717,12 @@ impl Supervisor {
 
     /// Decomposes the supervisor into the pieces the consumer pool
     /// distributes across threads (shards behind per-shard locks, the
-    /// log/checkpoint/base-registry behind a control lock);
+    /// log and checkpoint stream behind a control lock);
     /// [`Supervisor::from_parts`] reassembles after the pool joins.
     pub(crate) fn into_parts(self) -> SupervisorParts {
         SupervisorParts {
             config: self.config,
             shards: self.shards,
-            metrics: self.metrics,
             log: self.log,
             checkpoint: self.checkpoint,
             bus: self.bus,
@@ -1824,7 +1736,6 @@ impl Supervisor {
             scratch: DrainScratch::with_capacity(parts.config.drain_batch),
             config: parts.config,
             shards: parts.shards,
-            metrics: parts.metrics,
             log: parts.log,
             event_scratch: Vec::new(),
             checkpoint: parts.checkpoint,
@@ -1839,39 +1750,35 @@ impl Supervisor {
 pub(crate) struct SupervisorParts {
     pub(crate) config: SupervisorConfig,
     pub(crate) shards: Vec<Shard>,
-    pub(crate) metrics: MetricsRegistry,
     pub(crate) log: Option<EventLog>,
     pub(crate) checkpoint: Option<CheckpointStream>,
     pub(crate) bus: Option<Arc<EventBus>>,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rejuv_core::{Clta, CltaConfig, SnapshotError, Sraa, SraaConfig};
+    use rejuv_core::{DetectorKind, SnapshotError};
     use std::sync::{Arc, Mutex};
 
-    fn sraa() -> Box<dyn RejuvenationDetector> {
-        Box::new(Sraa::new(
-            SraaConfig::builder(5.0, 5.0)
-                .sample_size(2)
-                .buckets(2)
-                .depth(1)
-                .build()
-                .unwrap(),
-        ))
+    /// SRAA with n = 2, K = 2, D = 1: quick to fire on a degraded
+    /// stream. The unit tests' default shard.
+    pub(crate) fn sraa() -> DetectorSpec {
+        DetectorSpec {
+            sample_size: 2,
+            buckets: 2,
+            depth: 1,
+            ..DetectorSpec::new(DetectorKind::Sraa)
+        }
     }
 
     fn small() -> Supervisor {
-        Supervisor::with_shards(
-            SupervisorConfig {
-                queue_capacity: 64,
-                drain_batch: 8,
-                ..SupervisorConfig::default()
-            },
-            2,
-            |_| sraa(),
-        )
+        let config = SupervisorConfig {
+            queue_capacity: 64,
+            drain_batch: 8,
+            ..SupervisorConfig::default()
+        };
+        Supervisor::with_specs(config, &[sraa(); 2]).unwrap()
     }
 
     #[test]
@@ -1890,15 +1797,12 @@ mod tests {
 
     #[test]
     fn back_pressure_drops_are_counted_not_blocking() {
-        let sup = Supervisor::with_shards(
-            SupervisorConfig {
-                queue_capacity: 4,
-                drain_batch: 8,
-                ..SupervisorConfig::default()
-            },
-            1,
-            |_| sraa(),
-        );
+        let config = SupervisorConfig {
+            queue_capacity: 4,
+            drain_batch: 8,
+            ..SupervisorConfig::default()
+        };
+        let sup = Supervisor::with_specs(config, &[sraa()]).unwrap();
         let sender = sup.sender(0);
         let mut accepted = 0;
         for i in 0..10 {
@@ -1916,7 +1820,7 @@ mod tests {
     #[test]
     fn process_sync_matches_a_bare_detector() {
         let mut sup = small();
-        let mut reference = sraa();
+        let mut reference = sraa().build().unwrap();
         let values: Vec<f64> = (0..500)
             .map(|i| {
                 if i % 7 == 0 {
@@ -1975,7 +1879,7 @@ mod tests {
         for i in 0..137 {
             live.process_sync(i % 2, 50.0 + (i % 3) as f64).unwrap();
         }
-        let checkpoint = live.snapshot().expect("SRAA shards snapshot");
+        let checkpoint = live.snapshot();
 
         // A fresh supervisor restored from the checkpoint must agree
         // with the uninterrupted one on every subsequent decision.
@@ -1995,8 +1899,8 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_shard_count() {
         let live = small();
-        let checkpoint = live.snapshot().unwrap();
-        let mut other = Supervisor::with_shards(SupervisorConfig::default(), 3, |_| sraa());
+        let checkpoint = live.snapshot();
+        let mut other = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 3]).unwrap();
         assert_eq!(
             other.restore(&checkpoint),
             Err(RestoreError::ShardCountMismatch {
@@ -2008,10 +1912,9 @@ mod tests {
 
     #[test]
     fn restore_rejects_wrong_detector_kind() {
-        let clta_sup = Supervisor::with_shards(SupervisorConfig::default(), 2, |_| {
-            Box::new(Clta::new(CltaConfig::builder(5.0, 5.0).build().unwrap()))
-        });
-        let checkpoint = clta_sup.snapshot().unwrap();
+        let clta = DetectorSpec::new(DetectorKind::Clta);
+        let clta_sup = Supervisor::with_specs(SupervisorConfig::default(), &[clta; 2]).unwrap();
+        let checkpoint = clta_sup.snapshot();
         let mut sraa_sup = small();
         let before = sraa_sup.report();
         assert_eq!(
@@ -2030,7 +1933,7 @@ mod tests {
     #[test]
     fn restore_rejects_unknown_version() {
         let live = small();
-        let mut checkpoint = live.snapshot().unwrap();
+        let mut checkpoint = live.snapshot();
         checkpoint.version = 99;
         let mut other = small();
         assert_eq!(
@@ -2064,7 +1967,6 @@ mod tests {
 
     #[test]
     fn timer_checkpoints_follow_injected_clock_ticks() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let specs = [
             DetectorSpec::new(DetectorKind::Sraa),
             DetectorSpec::new(DetectorKind::Clta),
@@ -2110,7 +2012,6 @@ mod tests {
 
     #[test]
     fn restore_rejects_spec_drift_without_mutating_state() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let config = SupervisorConfig::default();
         let spec = DetectorSpec::new(DetectorKind::Sraa);
         let mut drifted = spec;
@@ -2119,7 +2020,7 @@ mod tests {
         for _ in 0..10 {
             donor.process_sync(0, 60.0).unwrap();
         }
-        let checkpoint = donor.snapshot().unwrap();
+        let checkpoint = donor.snapshot();
         let mut sup = Supervisor::with_specs(config, &[spec]).unwrap();
         sup.process_sync(0, 4.0).unwrap();
         let before = sup.report();
@@ -2136,7 +2037,6 @@ mod tests {
 
     #[test]
     fn digests_are_seeded_with_the_detector_kind() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         // Two kinds that agree on every decision for a tame stream must
         // still disagree on the digest: it certifies the algorithm too.
         let config = SupervisorConfig::default();
@@ -2156,7 +2056,6 @@ mod tests {
 
     #[test]
     fn report_rolls_up_rejuvenations_per_detector_kind() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let specs = [
             DetectorSpec::new(DetectorKind::Sraa),
             DetectorSpec::new(DetectorKind::Clta),
@@ -2198,7 +2097,7 @@ mod tests {
         for i in 0..9 {
             sup.process_sync_at(0, 30.0, i as f64).unwrap();
         }
-        let snap = sup.snapshot().unwrap();
+        let snap = sup.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION);
         let text = serde_json::to_string(&snap).unwrap();
         let back: SupervisorSnapshot = serde_json::from_str(&text).unwrap();
@@ -2218,7 +2117,6 @@ mod tests {
     /// One spec-built SRAA shard with a deliberately tiny queue, so
     /// lossy sends saturate it.
     fn tiny_specced(queue_capacity: usize) -> Supervisor {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         Supervisor::with_specs(
             SupervisorConfig {
                 queue_capacity,
@@ -2272,7 +2170,7 @@ mod tests {
             // the `assert_eq!` below, NaN never comparing equal.
             assert!(sup.ingest_at(0, 40.0 + i as f64, i as f64));
         }
-        let snap = sup.snapshot().unwrap();
+        let snap = sup.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION_DLQ);
         assert_eq!(snap.dlq.len(), 1);
         assert_eq!(snap.dlq[0].shard, 0);
@@ -2301,7 +2199,7 @@ mod tests {
         for i in 0..12 {
             donor.ingest(0, 40.0 + i as f64);
         }
-        let snap = donor.snapshot().unwrap();
+        let snap = donor.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION_DLQ);
         let mut target = tiny_specced(8);
         let before = target.report();
@@ -2315,17 +2213,14 @@ mod tests {
     #[test]
     fn v3_checkpoint_resets_dead_letter_state_on_restore() {
         let donor = small();
-        let snap = donor.snapshot().unwrap();
+        let snap = donor.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION, "no DLQ stays v3");
-        let mut target = Supervisor::with_shards(
-            SupervisorConfig {
-                queue_capacity: 2,
-                drain_batch: 8,
-                ..SupervisorConfig::default()
-            },
-            2,
-            |_| sraa(),
-        );
+        let config = SupervisorConfig {
+            queue_capacity: 2,
+            drain_batch: 8,
+            ..SupervisorConfig::default()
+        };
+        let mut target = Supervisor::with_specs(config, &[sraa(); 2]).unwrap();
         target.enable_dlq(8);
         for i in 0..5 {
             target.ingest(0, i as f64);
@@ -2339,7 +2234,6 @@ mod tests {
 
     #[test]
     fn reload_rebuilds_only_drifted_shards_and_folds_the_digest() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let specs = [
             DetectorSpec::new(DetectorKind::Sraa),
             DetectorSpec::new(DetectorKind::Clta),
@@ -2364,10 +2258,10 @@ mod tests {
             after.shards[1].digest,
             format!("{:016x}", fnv1a(before_digest, b"CUSUM"))
         );
-        assert_eq!(sup.spec(1), Some(&next[1]));
-        // Topology gauges follow: the CLTA gauge drops to zero instead
-        // of lingering.
-        assert_eq!(after.metrics.gauges["shards_CLTA"], 0.0);
+        assert_eq!(sup.spec(1), &next[1]);
+        // Topology gauges follow the current fleet: no CLTA shard is
+        // left, so no CLTA gauge either.
+        assert!(!after.metrics.gauges.contains_key("shards_CLTA"));
         assert_eq!(after.metrics.gauges["shards_CUSUM"], 1.0);
         assert_eq!(after.metrics.gauges["shards_SRAA"], 1.0);
         // Reloading the now-current fleet is a no-op.
@@ -2376,7 +2270,6 @@ mod tests {
 
     #[test]
     fn reload_rejects_bad_fleets_without_mutating_any_shard() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let specs = [
             DetectorSpec::new(DetectorKind::Sraa),
             DetectorSpec::new(DetectorKind::Clta),
@@ -2405,19 +2298,11 @@ mod tests {
             Err(ReloadError::Spec { shard: 1, .. })
         ));
         assert_eq!(sup.report(), before, "failed reloads leave no trace");
-        assert_eq!(sup.spec(0), Some(&specs[0]));
-
-        // A closure-built fleet has no specs to diff against.
-        let mut opaque = small();
-        assert_eq!(
-            opaque.reload_specs(&specs).unwrap_err(),
-            ReloadError::NotFromSpecs { shard: 0 }
-        );
+        assert_eq!(sup.spec(0), &specs[0]);
     }
 
     #[test]
     fn bus_publishes_the_operational_event_stream() {
-        use rejuv_core::{DetectorKind, DetectorSpec};
         let mut sup = Supervisor::with_specs(
             SupervisorConfig {
                 queue_capacity: 4,

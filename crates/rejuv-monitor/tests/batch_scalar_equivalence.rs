@@ -5,7 +5,9 @@
 //! override it with batch kernels; the trait's default is the plain
 //! per-sample `observe` loop. [`PerSample`] wraps a detector and
 //! forwards everything *except* `observe_batch`, so the wrapped
-//! detector runs the default loop through the very same drain path.
+//! detector runs the default loop through the very same drain path;
+//! `Supervisor::with_specs_wrapped` installs it around each spec-built
+//! detector.
 //! These tests run one preloaded workload both ways — across consumer
 //! counts, for a homogeneous SRAA fleet and the 4-kind example fleet,
 //! and over the synchronous path — and require the event-log trace,
@@ -17,7 +19,7 @@
 //! function of the workload and the comparison is exact.
 
 use rejuv_core::{
-    Decision, DetectorSnapshot, RejuvenationDetector, SnapshotError, Sraa, SraaConfig,
+    Decision, DetectorKind, DetectorSnapshot, DetectorSpec, RejuvenationDetector, SnapshotError,
 };
 use rejuv_monitor::{
     ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
@@ -83,15 +85,16 @@ fn config(consumers: usize) -> SupervisorConfig {
     }
 }
 
-fn sraa() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
+/// Builds one shard per spec, each detector wrapped in [`PerSample`]
+/// when `per_sample` is set.
+fn supervisor(consumers: usize, specs: &[DetectorSpec], per_sample: bool) -> Supervisor {
+    Supervisor::with_specs_wrapped(config(consumers), specs, |d| kernel(d, per_sample))
+        .expect("specs build")
+}
+
+/// SRAA with n = 2, K = 5, D = 3 at the SLA baseline.
+fn sraa() -> DetectorSpec {
+    DetectorSpec::new(DetectorKind::Sraa)
 }
 
 /// Deterministic workload: mostly-healthy values with sustained spike
@@ -137,7 +140,7 @@ fn pool_run(mut sup: Supervisor, per_shard: u64) -> Artifacts {
         .flush()
         .expect("flush");
     let report = sup.report();
-    let snapshot = sup.snapshot().expect("every detector here snapshots");
+    let snapshot = sup.snapshot();
     Artifacts {
         trace: buffer.contents(),
         report: serde_json::to_string_pretty(&report).expect("render report"),
@@ -179,9 +182,7 @@ fn kernel_ab_is_byte_identical(build: impl Fn(usize, bool) -> Supervisor, per_sh
 #[test]
 fn homogeneous_fleet_batch_and_per_sample_agree() {
     kernel_ab_is_byte_identical(
-        |consumers, per_sample| {
-            Supervisor::with_shards(config(consumers), 5, |_| kernel(sraa(), per_sample))
-        },
+        |consumers, per_sample| supervisor(consumers, &[sraa(); 5], per_sample),
         600,
     );
 }
@@ -195,11 +196,7 @@ fn mixed_fleet_batch_and_per_sample_agree() {
         "the example fleet mixes four detector kinds"
     );
     kernel_ab_is_byte_identical(
-        |consumers, per_sample| {
-            Supervisor::with_shards(config(consumers), specs.len(), |i| {
-                kernel(specs[i].build().expect("fleet builds"), per_sample)
-            })
-        },
+        |consumers, per_sample| supervisor(consumers, specs, per_sample),
         500,
     );
 }
@@ -211,7 +208,7 @@ fn mixed_fleet_batch_and_per_sample_agree() {
 #[test]
 fn sync_path_batch_and_per_sample_agree() {
     let run = |per_sample: bool| {
-        let mut sup = Supervisor::with_shards(config(1), 3, |_| kernel(sraa(), per_sample));
+        let mut sup = supervisor(1, &[sraa(); 3], per_sample);
         let mut fired = Vec::new();
         for i in 0..2_000u64 {
             for shard in 0..3 {

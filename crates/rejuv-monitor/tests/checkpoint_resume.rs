@@ -3,23 +3,17 @@
 //! — same decisions, same digests, same serialised report as the
 //! uninterrupted run.
 
-use rejuv_core::{RejuvenationDetector, Saraa, SaraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
-    load_snapshot, read_events, replay_events_resumed, save_snapshot, EventLog, MonitorEvent,
+    load_snapshot, read_events, replay_fleet_events, save_snapshot, EventLog, MonitorEvent,
     SharedBuffer, Supervisor, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-fn detector() -> Box<dyn RejuvenationDetector> {
-    Box::new(Saraa::new(
-        SaraaConfig::builder(5.0, 5.0)
-            .initial_sample_size(4)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
+/// SARAA with initial n = 4, K = 5, D = 3 on both shards.
+fn specs() -> [DetectorSpec; 2] {
+    [DetectorSpec::new(DetectorKind::Saraa); 2]
 }
 
 fn config() -> SupervisorConfig {
@@ -52,7 +46,7 @@ fn scratch_file(name: &str) -> PathBuf {
 /// it with the trace buffer.
 fn full_run(ckpt: PathBuf) -> (Supervisor, SharedBuffer) {
     let buffer = SharedBuffer::new();
-    let mut supervisor = Supervisor::with_shards(config(), 2, |_| detector());
+    let mut supervisor = Supervisor::with_specs(config(), &specs()).unwrap();
     let mut log = EventLog::new(Box::new(buffer.clone()));
     log.record(&MonitorEvent::Start {
         shards: 2,
@@ -104,8 +98,7 @@ fn resuming_from_a_mid_run_checkpoint_file_continues_the_digests() {
     // A fresh supervisor resumed from the file and fed the recorded
     // suffix reproduces the uninterrupted run's report byte-for-byte.
     let events = read_events(std::io::Cursor::new(buffer.contents())).unwrap();
-    let resumed =
-        replay_events_resumed(&events, config(), 2, |_| detector(), Some(&snapshot)).unwrap();
+    let resumed = replay_fleet_events(&events, config(), &specs(), Some(&snapshot)).unwrap();
     let resumed_report = resumed.report();
     assert_eq!(live_report, resumed_report);
     assert_eq!(
@@ -120,7 +113,7 @@ fn resuming_from_a_mid_run_checkpoint_file_continues_the_digests() {
 #[test]
 fn direct_restore_continues_the_stream_without_a_trace() {
     // Uninterrupted reference.
-    let mut reference = Supervisor::with_shards(config(), 2, |_| detector());
+    let mut reference = Supervisor::with_specs(config(), &specs()).unwrap();
     for i in 0..1_000u64 {
         let (shard, value, at) = sample(i);
         reference.process_sync_at(shard, value, at).unwrap();
@@ -128,7 +121,7 @@ fn direct_restore_continues_the_stream_without_a_trace() {
 
     // Interrupted run: checkpoint into memory at observation 500, build
     // a brand-new supervisor from the snapshot, feed only the suffix.
-    let mut first_half = Supervisor::with_shards(config(), 2, |_| detector());
+    let mut first_half = Supervisor::with_specs(config(), &specs()).unwrap();
     for i in 0..500u64 {
         let (shard, value, at) = sample(i);
         first_half.process_sync_at(shard, value, at).unwrap();
@@ -146,7 +139,7 @@ fn direct_restore_continues_the_stream_without_a_trace() {
     let snapshot = captured.lock().unwrap().take().unwrap();
     drop(first_half);
 
-    let mut second_half = Supervisor::with_shards(config(), 2, |_| detector());
+    let mut second_half = Supervisor::with_specs(config(), &specs()).unwrap();
     second_half.restore(&snapshot).unwrap();
     for i in 500..1_000u64 {
         let (shard, value, at) = sample(i);

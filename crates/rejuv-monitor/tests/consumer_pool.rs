@@ -15,7 +15,7 @@
 //! of the workload, and the pool flushes buffered events shard-major at
 //! join.
 
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
     ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
 };
@@ -31,17 +31,6 @@ fn config(consumers: usize) -> SupervisorConfig {
         snapshot_every: Some(100),
         consumers,
     }
-}
-
-fn sraa() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
 }
 
 /// Deterministic workload: mostly-healthy values with sustained spike
@@ -96,7 +85,7 @@ where
         .flush()
         .expect("flush");
     let report = sup.report();
-    let snapshot = sup.snapshot().expect("every detector here snapshots");
+    let snapshot = sup.snapshot();
     Artifacts {
         trace: buffer.contents(),
         report: serde_json::to_string_pretty(&report).expect("render report"),
@@ -174,7 +163,10 @@ where
 #[test]
 fn homogeneous_fleet_artifacts_are_identical_across_consumer_counts() {
     grid_is_byte_identical(
-        |config| Supervisor::with_shards(config, 5, |_| sraa()),
+        // SRAA with n = 2, K = 5, D = 3 at the SLA baseline.
+        |config| {
+            Supervisor::with_specs(config, &[DetectorSpec::new(DetectorKind::Sraa); 5]).unwrap()
+        },
         5,
         600,
     );

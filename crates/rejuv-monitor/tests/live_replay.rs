@@ -3,23 +3,12 @@
 //! while recording an event log; replaying that log through a fresh
 //! supervisor must reproduce the live report byte for byte.
 
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_ecommerce::{EcommerceSystem, SystemConfig};
 use rejuv_monitor::{
-    read_events, replay_events, EventLog, MonitorEvent, SharedBuffer, SharedSupervisor, Supervisor,
-    SupervisorConfig,
+    read_events, replay_fleet_events, EventLog, MonitorEvent, SharedBuffer, SharedSupervisor,
+    Supervisor, SupervisorConfig,
 };
-
-fn detector() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
-}
 
 #[test]
 fn live_model_run_replays_byte_identically() {
@@ -27,8 +16,10 @@ fn live_model_run_replays_byte_identically() {
         snapshot_every: Some(1_000),
         ..SupervisorConfig::default()
     };
+    // SRAA with n = 2, K = 5, D = 3 at the SLA baseline.
+    let spec = DetectorSpec::new(DetectorKind::Sraa);
     let buffer = SharedBuffer::new();
-    let mut supervisor = Supervisor::with_shards(config, 1, |_| detector());
+    let mut supervisor = Supervisor::with_specs(config, &[spec]).unwrap();
     let mut log = EventLog::new(Box::new(buffer.clone()));
     log.record(&MonitorEvent::Start {
         shards: 1,
@@ -73,7 +64,8 @@ fn live_model_run_replays_byte_identically() {
         snapshot_every: *snapshot_every,
         ..SupervisorConfig::default()
     };
-    let replayed = replay_events(&events, replay_config, *shards as usize, |_| detector()).unwrap();
+    let specs = vec![spec; *shards as usize];
+    let replayed = replay_fleet_events(&events, replay_config, &specs, None).unwrap();
     let replay_report = replayed.report();
     assert_eq!(live_report, replay_report);
     assert_eq!(

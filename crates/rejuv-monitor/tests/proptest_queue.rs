@@ -11,7 +11,7 @@
 //! reference under real producer/consumer concurrency.
 
 use proptest::prelude::*;
-use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{ConsumerPool, ObsQueue, Supervisor, SupervisorConfig, WorkNotifier};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -182,15 +182,9 @@ proptest! {
     }
 }
 
-fn detector() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .unwrap(),
-    ))
+/// SRAA with n = 2, K = 5, D = 3 at the SLA baseline, on every shard.
+fn specs() -> [DetectorSpec; SHARDS] {
+    [DetectorSpec::new(DetectorKind::Sraa); SHARDS]
 }
 
 /// The deterministic per-shard workload of the threaded tests.
@@ -212,7 +206,7 @@ fn threaded_stress_is_loss_free_and_matches_serial_digests() {
         drain_batch: 16,
         ..SupervisorConfig::default()
     };
-    let supervisor = Supervisor::with_shards(config, SHARDS, |_| detector());
+    let supervisor = Supervisor::with_specs(config, &specs()).unwrap();
     let senders: Vec<_> = (0..SHARDS).map(|s| supervisor.sender(s)).collect();
     let pool = ConsumerPool::spawn(supervisor);
     std::thread::scope(|scope| {
@@ -243,7 +237,7 @@ fn threaded_stress_is_loss_free_and_matches_serial_digests() {
     );
     assert_eq!(report.total_dropped, 0, "blocking producers never drop");
 
-    let mut serial = Supervisor::with_shards(config, SHARDS, |_| detector());
+    let mut serial = Supervisor::with_specs(config, &specs()).unwrap();
     for shard in 0..SHARDS {
         for i in 0..PER_SHARD {
             serial

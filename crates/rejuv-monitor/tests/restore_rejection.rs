@@ -4,7 +4,10 @@
 //! same-kind spec drift, per-shard histogram shape (bounds, bucket
 //! count, count total) — must return its typed [`RestoreError`]
 //! *without mutating supervisor state*: the report (digests included)
-//! is byte-identical before and after the failed restore.
+//! is byte-identical before and after the failed restore. Two things
+//! restore accepts are pinned too: a spec-less checkpoint from an older
+//! build (kind-checked; the configured spec stays), and a checkpoint
+//! whose `metrics` section disagrees with its shards (never read).
 
 use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
@@ -40,7 +43,7 @@ fn every_kind_pair_mismatch_is_rejected_without_mutation() {
             }
             let mut donor = supervisor_of(&[donor_kind]);
             warm_up(&mut donor);
-            let checkpoint = donor.snapshot().expect("every kind snapshots");
+            let checkpoint = donor.snapshot();
 
             let mut target = supervisor_of(&[target_kind]);
             warm_up(&mut target);
@@ -69,7 +72,7 @@ fn kind_mismatch_on_a_later_shard_names_that_shard() {
     // and must not have touched shard 0 when it fails.
     let mut donor = supervisor_of(&[DetectorKind::Sraa, DetectorKind::Clta]);
     warm_up(&mut donor);
-    let checkpoint = donor.snapshot().unwrap();
+    let checkpoint = donor.snapshot();
 
     let mut target = supervisor_of(&[DetectorKind::Sraa, DetectorKind::Cusum]);
     warm_up(&mut target);
@@ -86,7 +89,7 @@ fn version_mismatch_is_rejected_without_mutation() {
     // `SNAPSHOT_VERSION_DLQ` (v4) is the one *higher* version restore
     // accepts — everything else must be rejected.
     for bad_version in [0, SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION_DLQ + 1, 99] {
-        let mut checkpoint = donor.snapshot().unwrap();
+        let mut checkpoint = donor.snapshot();
         checkpoint.version = bad_version;
         let mut target = supervisor_of(&[DetectorKind::Sraa]);
         warm_up(&mut target);
@@ -106,7 +109,7 @@ fn version_mismatch_is_rejected_without_mutation() {
 fn shard_count_mismatch_is_rejected_without_mutation() {
     let mut donor = supervisor_of(&[DetectorKind::Sraa, DetectorKind::Clta]);
     warm_up(&mut donor);
-    let checkpoint = donor.snapshot().unwrap();
+    let checkpoint = donor.snapshot();
     for target_kinds in [
         &[DetectorKind::Sraa][..],
         &[DetectorKind::Sraa, DetectorKind::Clta, DetectorKind::Cusum][..],
@@ -136,7 +139,7 @@ fn same_kind_knob_drift_is_rejected_without_mutation() {
 
     let mut donor = Supervisor::with_specs(SupervisorConfig::default(), &[base, drifted]).unwrap();
     warm_up(&mut donor);
-    let checkpoint = donor.snapshot().unwrap();
+    let checkpoint = donor.snapshot();
 
     let mut target = Supervisor::with_specs(SupervisorConfig::default(), &[base, base]).unwrap();
     warm_up(&mut target);
@@ -185,7 +188,7 @@ fn reordered_histogram_bounds_are_rejected_without_mutation() {
     let kinds = [DetectorKind::Sraa, DetectorKind::Clta];
     let mut donor = supervisor_of(&kinds);
     warm_up(&mut donor);
-    let mut checkpoint = donor.snapshot().unwrap();
+    let mut checkpoint = donor.snapshot();
     let h = &checkpoint.shards[1].value_hist;
     let mut bounds = h.bounds().to_vec();
     bounds.swap(2, 3);
@@ -208,7 +211,7 @@ fn truncated_histogram_counts_are_rejected_without_mutation() {
     let kinds = [DetectorKind::Sraa];
     let mut donor = supervisor_of(&kinds);
     warm_up(&mut donor);
-    let mut checkpoint = donor.snapshot().unwrap();
+    let mut checkpoint = donor.snapshot();
     let h = &checkpoint.shards[0].value_hist;
     checkpoint.shards[0].value_hist = edited(h, h.bounds(), &[1], h.count());
     assert_rejected_without_mutation(
@@ -230,7 +233,7 @@ fn histogram_counts_that_miss_the_total_are_rejected_without_mutation() {
     let kinds = [DetectorKind::Sraa];
     let mut donor = supervisor_of(&kinds);
     warm_up(&mut donor);
-    let pristine = donor.snapshot().unwrap();
+    let pristine = donor.snapshot();
 
     let mut checkpoint = pristine.clone();
     let h = &pristine.shards[0].latency_hist;
@@ -280,7 +283,7 @@ fn foreign_histogram_bounds_are_rejected_without_mutation() {
     let kinds = [DetectorKind::Sraa, DetectorKind::Cusum];
     let mut donor = supervisor_of(&kinds);
     warm_up(&mut donor);
-    let pristine = donor.snapshot().unwrap();
+    let pristine = donor.snapshot();
 
     let mut checkpoint = pristine.clone();
     checkpoint.shards[1].batch_hist = pristine.shards[1].latency_hist.clone();
@@ -307,5 +310,81 @@ fn foreign_histogram_bounds_are_rejected_without_mutation() {
             histogram: "drain_batch_size",
             problem: HistogramProblem::Bounds,
         },
+    );
+}
+
+/// `checkpoint` as an older build that ran opaque detectors wrote it:
+/// every shard's `spec` is `null` in the file.
+fn without_specs(checkpoint: &SupervisorSnapshot) -> SupervisorSnapshot {
+    let mut json = serde_json::to_string(checkpoint).unwrap();
+    while let Some(start) = json.find(r#""spec":{"#) {
+        let end = start + json[start..].find('}').expect("flat spec object") + 1;
+        json.replace_range(start..end, r#""spec":null"#);
+    }
+    serde_json::from_str(&json).expect("a spec-less checkpoint parses")
+}
+
+#[test]
+fn spec_less_checkpoint_restores_and_keeps_the_configured_spec() {
+    let spec = DetectorSpec::new(DetectorKind::Sraa);
+    let mut donor = supervisor_of(&[DetectorKind::Sraa]);
+    warm_up(&mut donor);
+    let legacy = without_specs(&donor.snapshot());
+    assert_eq!(legacy.shards[0].spec, None);
+
+    // Restores under the kind check alone; the configured spec stays.
+    let mut target = supervisor_of(&[DetectorKind::Sraa]);
+    target
+        .restore(&legacy)
+        .expect("a spec-less checkpoint restores");
+    assert_eq!(target.spec(0), &spec);
+    assert_eq!(target.report(), donor.report());
+    let next = target.snapshot();
+    assert_eq!(next.shards[0].spec, Some(spec), "checkpoints carry it on");
+    assert_eq!(next, donor.snapshot());
+
+    // A drifted spec is still refused, leaving no trace (G4).
+    let mut drifted = spec;
+    drifted.buckets += 1;
+    let mut bad = next.clone();
+    bad.shards[0].spec = Some(drifted);
+    let before = serde_json::to_string(&target.report()).unwrap();
+    assert_eq!(
+        target.restore(&bad),
+        Err(RestoreError::SpecMismatch {
+            shard: 0,
+            expected: Box::new(spec),
+            found: Box::new(drifted),
+        })
+    );
+    assert_eq!(serde_json::to_string(&target.report()).unwrap(), before);
+
+    // A workload-shift hot reload still diffs against the kept spec.
+    let mut shifted = spec;
+    shifted.mu = 7.5;
+    assert_eq!(target.reload_specs(&[shifted]), Ok(vec![0]));
+    assert_eq!(target.snapshot().shards[0].spec, Some(shifted));
+}
+
+#[test]
+fn checkpoint_metrics_are_rebuilt_not_restored() {
+    // The report derives from shard state alone: a foreign gauge and a
+    // tampered topology gauge in the checkpoint's `metrics` section
+    // must not leak into the resumed run.
+    let kinds = [DetectorKind::Sraa, DetectorKind::Clta];
+    let mut live = supervisor_of(&kinds);
+    warm_up(&mut live);
+    let mut checkpoint = live.snapshot();
+    let gauges = &mut checkpoint.metrics.gauges;
+    gauges.insert("shards".to_owned(), 99.0);
+    gauges.insert("foreign_gauge".to_owned(), 1.0);
+
+    let mut resumed = supervisor_of(&kinds);
+    resumed.restore(&checkpoint).expect("shard state fits");
+    warm_up(&mut live);
+    warm_up(&mut resumed);
+    assert_eq!(
+        serde_json::to_string(&resumed.report()).unwrap(),
+        serde_json::to_string(&live.report()).unwrap()
     );
 }

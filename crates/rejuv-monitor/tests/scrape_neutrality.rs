@@ -12,6 +12,7 @@
 //! shared-mode drain plane are running, against a listener-free twin.
 
 use proptest::prelude::*;
+use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::expo::render;
 use rejuv_monitor::{
     ConsumerPool, EventLog, ExpoSnapshot, MetricsServer, MonitorEvent, SharedBuffer,
@@ -23,15 +24,15 @@ use std::sync::Arc;
 const CONSUMERS: [usize; 3] = [1, 2, 4];
 const SHARDS: usize = 3;
 
-fn detector() -> Box<dyn rejuv_core::RejuvenationDetector> {
-    Box::new(rejuv_core::Sraa::new(
-        rejuv_core::SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(4)
-            .depth(2)
-            .build()
-            .unwrap(),
-    ))
+/// SRAA with n = 2, K = 4, D = 2 on every shard.
+fn specs() -> [DetectorSpec; SHARDS] {
+    let sraa = DetectorSpec {
+        sample_size: 2,
+        buckets: 4,
+        depth: 2,
+        ..DetectorSpec::new(DetectorKind::Sraa)
+    };
+    [sraa; SHARDS]
 }
 
 /// One step of the schedule under test.
@@ -60,7 +61,7 @@ struct Artifacts {
     trace: Vec<u8>,
     report: String,
     digests: Vec<String>,
-    checkpoint: Option<String>,
+    checkpoint: String,
 }
 
 /// Runs a schedule, scraping at the marked points only when `scrape`
@@ -72,7 +73,7 @@ fn run_schedule(consumers: usize, ops: &[Op], scrape: bool) -> Artifacts {
         snapshot_every: Some(50),
         consumers,
     };
-    let mut sup = Supervisor::with_shards(config, SHARDS, |_| detector());
+    let mut sup = Supervisor::with_specs(config, &specs()).unwrap();
     let buffer = SharedBuffer::new();
     let mut log = EventLog::new(Box::new(buffer.clone()));
     log.record(&MonitorEvent::Start {
@@ -110,9 +111,7 @@ fn run_schedule(consumers: usize, ops: &[Op], scrape: bool) -> Artifacts {
     if scrape {
         let _ = render(&ExpoSnapshot::capture(&sup));
     }
-    let checkpoint = sup
-        .snapshot()
-        .map(|s| serde_json::to_string_pretty(&s).unwrap());
+    let checkpoint = serde_json::to_string_pretty(&sup.snapshot()).unwrap();
     sup.take_log().unwrap().flush().unwrap();
     let report = sup.report();
     Artifacts {
@@ -161,7 +160,7 @@ fn threaded_run(listen: bool) -> (String, Vec<String>) {
         snapshot_every: None,
         consumers: 2,
     };
-    let shared = SharedSupervisor::new(Supervisor::with_shards(config, SHARDS, |_| detector()));
+    let shared = SharedSupervisor::new(Supervisor::with_specs(config, &specs()).unwrap());
     let consumer = ConsumerPool::spawn_shared(&shared);
     let server = listen.then(|| {
         MetricsServer::bind(

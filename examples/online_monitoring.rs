@@ -4,21 +4,11 @@
 //!
 //! Run with: `cargo run --release --example online_monitoring`
 
-use software_rejuvenation::detectors::{RejuvenationDetector, Sraa, SraaConfig};
+use software_rejuvenation::detectors::{DetectorKind, DetectorSpec};
 use software_rejuvenation::monitor::{
-    read_events, replay_events, EventLog, MonitorEvent, SharedBuffer, Supervisor, SupervisorConfig,
+    read_events, replay_fleet_events, EventLog, MonitorEvent, SharedBuffer, Supervisor,
+    SupervisorConfig,
 };
-
-fn detector() -> Box<dyn RejuvenationDetector> {
-    Box::new(Sraa::new(
-        SraaConfig::builder(5.0, 5.0)
-            .sample_size(2)
-            .buckets(5)
-            .depth(3)
-            .build()
-            .expect("valid config"),
-    ))
-}
 
 /// Host 2's stream degrades halfway through; the others stay healthy.
 fn response_time(host: usize, i: u64) -> f64 {
@@ -34,10 +24,12 @@ fn main() {
         snapshot_every: Some(400),
         ..SupervisorConfig::default()
     };
-    let hosts = 4;
+    // Every host runs SRAA at the SLA baseline (n = 2, K = 5, D = 3).
+    let specs = [DetectorSpec::new(DetectorKind::Sraa); 4];
+    let hosts = specs.len();
     let log_buffer = SharedBuffer::new();
 
-    let mut supervisor = Supervisor::with_shards(config, hosts, |_| detector());
+    let mut supervisor = Supervisor::with_specs(config, &specs).expect("valid specs");
     supervisor.set_log(EventLog::new(Box::new(log_buffer.clone())));
 
     // Producers push through cloneable senders; a real deployment would
@@ -70,10 +62,10 @@ fn main() {
     // Checkpoint: the complete supervisor state (detector internals,
     // counters, metrics) serialises to JSON and restores into a fresh
     // supervisor that continues behaviour-identically.
-    let checkpoint = supervisor.snapshot().expect("SRAA supports snapshots");
+    let checkpoint = supervisor.snapshot();
     let as_json = serde_json::to_string(&checkpoint).expect("serialise checkpoint");
     println!("checkpoint: {} bytes of JSON", as_json.len());
-    let mut resumed = Supervisor::with_shards(config, hosts, |_| detector());
+    let mut resumed = Supervisor::with_specs(config, &specs).expect("valid specs");
     resumed
         .restore(&serde_json::from_str(&as_json).expect("parse checkpoint"))
         .expect("restore checkpoint");
@@ -91,7 +83,7 @@ fn main() {
         .iter()
         .filter(|e| matches!(e, MonitorEvent::Batch { .. }))
         .count();
-    let replayed = replay_events(&events, config, hosts, |_| detector()).expect("replay");
+    let replayed = replay_fleet_events(&events, config, &specs, None).expect("replay");
     assert_eq!(replayed.report(), report);
     println!("replayed {batches} recorded batches: report is byte-identical");
 }
