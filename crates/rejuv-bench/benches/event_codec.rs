@@ -6,11 +6,22 @@
 //! writes) and an untimed `Batch`. Encoding writes to `io::sink()`, so
 //! the numbers are the codec's, not the file system's. A round-trip
 //! check runs before anything is timed.
+//!
+//! Two more groups split the codec into its parts, on the `TimedBatch`
+//! record's 1024 floats:
+//!
+//! - `float_format`: float text alone, std's `{}` against
+//!   [`serde_json::float::write_plain`] (which must give the same
+//!   bytes; checked before timing);
+//! - `decode_parts`: `str::parse::<f64>` alone over the record's float
+//!   tokens, cut out of the encoded line beforehand. Its gap to
+//!   `decode_timed_batch` is the decoder's line scanning and `Vec`
+//!   building.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rejuv_monitor::{read_events, EventLog, MonitorEvent, SharedBuffer};
 use std::hint::black_box;
-use std::io;
+use std::io::{self, Write};
 
 const SAMPLES: usize = 512;
 
@@ -81,5 +92,77 @@ fn bench_event_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_codec);
+/// The float tokens of an encoded batch line: everything between its
+/// array brackets, split at commas.
+fn float_tokens(line: &str) -> Vec<&str> {
+    line.split(['[', ']'])
+        .skip(1)
+        .step_by(2)
+        .flat_map(|array| array.split(','))
+        .collect()
+}
+
+fn bench_codec_parts(c: &mut Criterion) {
+    let (values, times) = samples();
+    let floats: Vec<f64> = times.iter().chain(&values).copied().collect();
+    let event = MonitorEvent::TimedBatch {
+        shard: 3,
+        seq: 1 << 20,
+        values,
+        times,
+    };
+
+    let mut std_text = Vec::new();
+    let mut ours = Vec::new();
+    for &v in &floats {
+        write!(std_text, "{v},").expect("write to a Vec");
+        serde_json::float::write_plain(&mut ours, v);
+        ours.push(b',');
+    }
+    assert_eq!(std_text, ours, "write_plain matches std's {{}}");
+
+    let mut group = c.benchmark_group("float_format");
+    group.sample_size(200);
+    group.throughput(Throughput::Elements(floats.len() as u64));
+    let mut out = Vec::with_capacity(std_text.len());
+    group.bench_function("std_display", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in black_box(&floats) {
+                write!(out, "{v}").expect("write to a Vec");
+            }
+            black_box(out.len())
+        });
+    });
+    group.bench_function("write_plain", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in black_box(&floats) {
+                serde_json::float::write_plain(&mut out, v);
+            }
+            black_box(out.len())
+        });
+    });
+    group.finish();
+
+    let line = String::from_utf8(encode(&event)).expect("ASCII line");
+    let tokens = float_tokens(&line);
+    let parsed: Vec<f64> = tokens.iter().map(|t| t.parse().expect("float")).collect();
+    assert_eq!(parsed, floats, "tokens are the record's floats");
+
+    let mut group = c.benchmark_group("decode_parts");
+    group.sample_size(200);
+    group.throughput(Throughput::Elements(SAMPLES as u64));
+    group.bench_function("str_parse_timed_batch", |b| {
+        b.iter(|| {
+            black_box(&tokens)
+                .iter()
+                .map(|t| t.parse::<f64>().expect("float"))
+                .sum::<f64>()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_event_codec, bench_codec_parts);
 criterion_main!(benches);

@@ -396,6 +396,55 @@ fn monitord_rejects_a_malformed_replay_log_cleanly() {
     }
 }
 
+// A log header's supervisor config is outside input: a zero drain batch
+// or queue, or a queue capacity no allocator can reserve, is a typed
+// failure on both header kinds. Only overflowing capacities are tried,
+// never ones that would really allocate.
+#[test]
+fn monitord_rejects_an_unbuildable_header_config_cleanly() {
+    let out = tempdir("monitord-bad-header");
+    let spec = r#"{"buckets":5,"decision":5.0,"depth":3,"kind":"Sraa","limit":3.0,"mu":5.0,"quantile":1.96,"reference":0.5,"sample_size":2,"sigma":5.0,"weight":0.25}"#;
+    let cases = [
+        ("0", "1024", "parameter drain_batch must be at least 1"),
+        ("512", "0", "parameter queue_capacity must be at least 1"),
+        (
+            "512",
+            "4611686018427387904",
+            "queue_capacity = 4611686018427388000: expected a capacity the allocator can reserve",
+        ),
+        (
+            "512",
+            "18446744073709551615",
+            "expected a capacity the allocator can reserve",
+        ),
+    ];
+    for (i, (drain_batch, queue_capacity, needle)) in cases.iter().enumerate() {
+        let config = format!(
+            r#""drain_batch":{drain_batch},"queue_capacity":{queue_capacity},"shards":1,"snapshot_every":null"#
+        );
+        for (kind, header) in [
+            (
+                "start",
+                format!(r#"{{"Start":{{"detector":"sraa",{config}}}}}"#),
+            ),
+            (
+                "fleet",
+                format!(r#"{{"FleetStart":{{{config},"specs":[{spec}]}}}}"#),
+            ),
+        ] {
+            let log = Path::new(&out).join(format!("{kind}{i}.jsonl"));
+            std::fs::write(&log, format!("{header}\n")).unwrap();
+            expect_failure(&["--replay", log.to_str().unwrap()], 1, needle);
+            let output = Command::new(monitord_bin())
+                .args(["--replay", log.to_str().unwrap()])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(stderr.lines().count(), 1, "one diagnostic line:\n{stderr}");
+        }
+    }
+}
+
 // Without the failpoints feature the --dst surface must fail fast with
 // a pointer at the right build, not silently run nothing.
 #[cfg(not(feature = "failpoints"))]

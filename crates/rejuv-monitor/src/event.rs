@@ -168,8 +168,7 @@ impl Write for SharedBuffer {
 
 /// Appends `event` and its terminating `\n` to `out`, byte-identical to
 /// `serde_json::to_string(event)` plus `\n`: keys in sorted order, each
-/// finite float in std `Display` form with `.0` appended when the text
-/// has no `.`, `e` or `E`, each non-finite float as `null`.
+/// float as the token [`serde_json::float::write_json`] writes.
 fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
     match event {
         MonitorEvent::Batch { shard, seq, values } => {
@@ -177,7 +176,7 @@ fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
                 out,
                 "{{\"Batch\":{{\"seq\":{seq},\"shard\":{shard},\"values\":"
             )?;
-            encode_floats(values, out)?;
+            encode_floats(values, out);
         }
         MonitorEvent::TimedBatch {
             shard,
@@ -189,9 +188,9 @@ fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
                 out,
                 "{{\"TimedBatch\":{{\"seq\":{seq},\"shard\":{shard},\"times\":"
             )?;
-            encode_floats(times, out)?;
+            encode_floats(times, out);
             out.extend_from_slice(b",\"values\":");
-            encode_floats(values, out)?;
+            encode_floats(values, out);
         }
         _ => {
             let text = serde_json::to_string(event)
@@ -205,24 +204,15 @@ fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
     Ok(())
 }
 
-fn encode_floats(values: &[f64], out: &mut Vec<u8>) -> io::Result<()> {
+fn encode_floats(values: &[f64], out: &mut Vec<u8>) {
     out.push(b'[');
     for (i, &v) in values.iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        if !v.is_finite() {
-            out.extend_from_slice(b"null");
-            continue;
-        }
-        let start = out.len();
-        write!(out, "{v}")?;
-        if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
-            out.extend_from_slice(b".0");
-        }
+        serde_json::float::write_json(out, v);
     }
     out.push(b']');
-    Ok(())
 }
 
 /// Parses one log line. Canonical `Batch`/`TimedBatch` lines (exactly

@@ -265,53 +265,6 @@ mod tests {
         )
     }
 
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("response has a blank line");
-        (head.to_owned(), body.to_owned())
-    }
-
-    #[test]
-    fn serves_metrics_healthz_report_and_404() {
-        let shared = shared_supervisor();
-        let server = MetricsServer::bind("127.0.0.1:0".parse().unwrap(), shared.clone(), None)
-            .expect("bind an ephemeral port");
-        let addr = server.local_addr();
-
-        let (head, body) = get(addr, "/healthz");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert_eq!(body, "ok\n");
-
-        let (head, body) = get(addr, "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(head.contains("text/plain; version=0.0.4"));
-        crate::expo::lint(&body).expect("served body lints clean");
-        assert!(body.contains("rejuv_exposition_scrapes_total 1"));
-
-        let (_, body) = get(addr, "/metrics");
-        assert!(body.contains("rejuv_exposition_scrapes_total 2"));
-
-        let (head, body) = get(addr, "/report");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let report: crate::supervisor::MonitorReport =
-            serde_json::from_str(&body).expect("report parses");
-        assert_eq!(report.shards.len(), 1);
-
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-
-        assert_eq!(server.scrapes(), 2);
-        server.shutdown();
-        // With the responder's handle gone the supervisor is
-        // reclaimable again.
-        assert!(shared.try_into_inner().is_ok());
-    }
-
     #[test]
     fn bind_failure_surfaces_as_io_error() {
         let occupied = TcpListener::bind("127.0.0.1:0").expect("pre-bind");

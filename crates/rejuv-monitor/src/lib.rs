@@ -130,7 +130,10 @@ use std::io;
 ///
 /// # Errors
 ///
-/// `InvalidData` if a spec fails detector validation, if the snapshot
+/// `InvalidData` if `config` cannot build a supervisor (a zero
+/// `drain_batch`, `queue_capacity` or `consumers`, or a queue capacity
+/// the allocator refuses: see [`Supervisor::with_specs`]; a log header
+/// supplies these), if a spec fails detector validation, if the snapshot
 /// does not fit the rebuilt fleet (see [`Supervisor::restore`]), or for
 /// a malformed log, before the offending batch touches its shard: a
 /// batch naming a shard outside the fleet, a `TimedBatch` whose `times`

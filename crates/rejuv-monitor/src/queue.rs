@@ -38,7 +38,7 @@
 
 use crate::assurance::failpoints::fp;
 use crate::dlq::DeadLetterQueue;
-use std::collections::VecDeque;
+use std::collections::{TryReserveError, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -165,20 +165,22 @@ struct Inner {
 }
 
 impl Inner {
-    fn new(capacity: usize) -> Self {
-        Inner {
-            // Preallocate the full bound: a bounded queue will reach
-            // exactly this length under back-pressure, so reserving it
-            // up front trades transient memory for never reallocating
-            // (and never stalling) on the hot path.
-            buf: Mutex::new(VecDeque::with_capacity(capacity)),
+    fn new(capacity: usize) -> Result<Self, TryReserveError> {
+        // Preallocate the full bound: a bounded queue will reach
+        // exactly this length under back-pressure, so reserving it up
+        // front trades transient memory for never reallocating (and
+        // never stalling) on the hot path.
+        let mut buf = VecDeque::new();
+        buf.try_reserve_exact(capacity)?;
+        Ok(Inner {
+            buf: Mutex::new(buf),
             space: Condvar::new(),
             capacity,
             occupancy: AtomicUsize::new(0),
             counters: Counters::default(),
             notifier: Mutex::new(None),
             shutdown: AtomicBool::new(false),
-        }
+        })
     }
 
     fn notify(&self) {
@@ -350,13 +352,24 @@ impl ObsQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or the allocator cannot reserve it.
     pub fn bounded(capacity: usize) -> Self {
+        ObsQueue::try_bounded(capacity).expect("queue capacity must fit in memory")
+    }
+
+    /// [`ObsQueue::bounded`] that returns the allocator's refusal of
+    /// `capacity` instead of panicking: the capacity may come from a
+    /// log header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub(crate) fn try_bounded(capacity: usize) -> Result<Self, TryReserveError> {
         assert!(capacity > 0, "queue capacity must be positive");
-        ObsQueue {
-            inner: Arc::new(Inner::new(capacity)),
+        Ok(ObsQueue {
+            inner: Arc::new(Inner::new(capacity)?),
             dlq: Arc::new(OnceLock::new()),
-        }
+        })
     }
 
     /// Attaches a consumer wakeup hook: pushes that make the queue

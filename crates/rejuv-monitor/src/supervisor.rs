@@ -1048,11 +1048,12 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] of the first invalid spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.drain_batch` or `config.consumers` is zero.
+    /// Returns [`ConfigError::ZeroCount`] if `config.drain_batch`,
+    /// `config.queue_capacity` or `config.consumers` is zero,
+    /// [`ConfigError::InvalidValue`] if the allocator refuses a shard's
+    /// `queue_capacity`, and otherwise the error of the first invalid
+    /// spec. A replayed log's header supplies `config`, so none of
+    /// these may panic.
     pub fn with_specs(
         config: SupervisorConfig,
         specs: &[DetectorSpec],
@@ -1071,19 +1072,33 @@ impl Supervisor {
     ///
     /// # Panics
     ///
-    /// As [`Supervisor::with_specs`], and if a wrapped detector's name
-    /// differs from its spec's kind or it cannot snapshot: a shard's
-    /// detector is always the one its spec describes.
+    /// If a wrapped detector's name differs from its spec's kind or it
+    /// cannot snapshot: a shard's detector is always the one its spec
+    /// describes.
     #[doc(hidden)]
     pub fn with_specs_wrapped(
         config: SupervisorConfig,
         specs: &[DetectorSpec],
         mut wrap: impl FnMut(Box<dyn RejuvenationDetector>) -> Box<dyn RejuvenationDetector>,
     ) -> Result<Self, ConfigError> {
-        assert!(config.drain_batch > 0, "drain batch must be positive");
-        assert!(config.consumers > 0, "consumer count must be positive");
+        for (name, count) in [
+            ("drain_batch", config.drain_batch),
+            ("queue_capacity", config.queue_capacity),
+            ("consumers", config.consumers),
+        ] {
+            if count == 0 {
+                return Err(ConfigError::ZeroCount { name });
+            }
+        }
         let mut shards = Vec::with_capacity(specs.len());
         for &spec in specs {
+            let queue = ObsQueue::try_bounded(config.queue_capacity).map_err(|_| {
+                ConfigError::InvalidValue {
+                    name: "queue_capacity",
+                    value: config.queue_capacity as f64,
+                    expected: "a capacity the allocator can reserve",
+                }
+            })?;
             let detector = wrap(spec.build()?);
             assert_eq!(detector.name(), spec.kind.name(), "wrap kept the kind");
             assert!(detector.snapshot().is_some(), "wrap kept snapshots");
@@ -1095,7 +1110,7 @@ impl Supervisor {
                 digest: fnv1a(FNV_OFFSET, detector.name().as_bytes()),
                 detector,
                 spec,
-                queue: ObsQueue::bounded(config.queue_capacity),
+                queue,
                 processed: 0,
                 rejuvenations: 0,
                 last_at: None,

@@ -73,3 +73,32 @@ fn live_model_run_replays_byte_identically() {
         serde_json::to_string(&replay_report).unwrap()
     );
 }
+
+/// A log header's config is outside input: one that cannot build a
+/// supervisor is `InvalidData`, never a panic. Only capacities that
+/// overflow the allocator are tried, never ones it would grant.
+#[test]
+fn unbuildable_header_config_is_invalid_data() {
+    let spec = DetectorSpec::new(DetectorKind::Sraa);
+    for (drain_batch, queue_capacity, consumers) in [
+        (0, 1_024, 1),
+        (512, 0, 1),
+        (512, 1_024, 0),
+        (512, 1 << 62, 1),
+        (512, usize::MAX, 1),
+    ] {
+        let config = SupervisorConfig {
+            drain_batch,
+            queue_capacity,
+            consumers,
+            snapshot_every: None,
+        };
+        let err = replay_fleet_events(&[], config, &[spec], None)
+            .expect_err("an unbuildable config is rejected");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{config:?}: {err}"
+        );
+    }
+}

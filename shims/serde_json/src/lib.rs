@@ -4,11 +4,13 @@
 //! [`Value`] tree.
 //!
 //! Output is deterministic: objects render with sorted keys (the tree
-//! stores them in a `BTreeMap`) and numbers use Rust's shortest
-//! round-trip float formatting. Non-finite floats render as `null`,
-//! matching real `serde_json`.
+//! stores them in a `BTreeMap`) and floats render through [`float`],
+//! byte-identical to std's shortest round-trip `{}` formatting.
+//! Non-finite floats render as `null`, matching real `serde_json`.
 
 #![forbid(unsafe_code)]
+
+pub mod float;
 
 pub use serde::{Error, Value};
 
@@ -27,9 +29,9 @@ pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
 ///
 /// Never fails in the shim; the `Result` mirrors the real API.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(String::from_utf8(out).expect("the writer emits UTF-8"))
 }
 
 /// Serializes `value` to a 2-space-indented JSON string.
@@ -38,9 +40,9 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// Never fails in the shim; the `Result` mirrors the real API.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(String::from_utf8(out).expect("the writer emits UTF-8"))
 }
 
 /// Parses a JSON string into any [`serde::Deserialize`] type.
@@ -57,98 +59,84 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
 // Writer
 // ---------------------------------------------------------------------
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
+fn write_value(out: &mut Vec<u8>, value: &Value, indent: Option<usize>, depth: usize) {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(true) => out.extend_from_slice(b"true"),
+        Value::Bool(false) => out.extend_from_slice(b"false"),
         Value::I64(v) => {
-            out.push_str(&v.to_string());
+            out.extend_from_slice(v.to_string().as_bytes());
         }
         Value::U64(v) => {
-            out.push_str(&v.to_string());
+            out.extend_from_slice(v.to_string().as_bytes());
         }
-        Value::F64(v) => write_f64(out, *v),
+        Value::F64(v) => float::write_json(out, *v),
         Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
-                out.push_str("[]");
+                out.extend_from_slice(b"[]");
                 return;
             }
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent, depth + 1);
                 write_value(out, item, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(map) => {
             if map.is_empty() {
-                out.push_str("{}");
+                out.extend_from_slice(b"{}");
                 return;
             }
-            out.push('{');
+            out.push(b'{');
             for (i, (key, item)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent, depth + 1);
                 write_string(out, key);
-                out.push(':');
+                out.push(b':');
                 if indent.is_some() {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 write_value(out, item, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + width * depth, b' ');
     }
 }
 
-fn write_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Rust's shortest round-trip formatting; ensure the text stays a
-    // float (real serde_json prints `1.0`, not `1`).
-    let s = format!("{v}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Bytes of a UTF-8 sequence are all `>= 0x80`, so escaping byte by
+/// byte leaves every non-ASCII character intact.
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                out.extend_from_slice(format!("\\u{b:04x}").as_bytes());
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 // ---------------------------------------------------------------------
