@@ -43,14 +43,15 @@ fn bench_obs_queue(c: &mut Criterion) {
     // queue, not the allocator.
     group.bench_function("ping_pong", |b| {
         let q = ObsQueue::bounded(64);
-        let mut out = Vec::with_capacity(1);
+        let (mut out, mut times) = (Vec::with_capacity(1), Vec::with_capacity(1));
         b.iter(|| {
             let mut acc = 0.0f64;
             for &v in &vs {
                 q.push(v);
                 out.clear();
-                q.drain_into(&mut out, 1);
-                acc += out[0].0;
+                times.clear();
+                q.drain_into(&mut out, &mut times, 1);
+                acc += out[0];
             }
             black_box(acc)
         });
@@ -60,16 +61,18 @@ fn bench_obs_queue(c: &mut Criterion) {
     // drains, the defaults' steady state.
     group.bench_function("batched_throughput", |b| {
         let q = ObsQueue::bounded(8_192);
-        let mut out = Vec::with_capacity(512);
+        let (mut out, mut times) = (Vec::with_capacity(512), Vec::with_capacity(512));
         b.iter(|| {
             let mut drained = 0usize;
             for chunk in vs.chunks(256) {
                 q.push_batch(chunk.iter().map(|&v| (v, f64::NAN)));
                 out.clear();
-                drained += q.drain_into(&mut out, 512);
+                times.clear();
+                drained += q.drain_into(&mut out, &mut times, 512);
             }
             out.clear();
-            drained += q.drain_into(&mut out, usize::MAX);
+            times.clear();
+            drained += q.drain_into(&mut out, &mut times, usize::MAX);
             black_box(drained)
         });
     });
@@ -88,11 +91,12 @@ fn bench_obs_queue(c: &mut Criterion) {
                         producer.push_batch_blocking(chunk.iter().map(|&v| (v, f64::NAN)));
                     }
                 });
-                let mut out = Vec::with_capacity(64);
+                let (mut out, mut times) = (Vec::with_capacity(64), Vec::with_capacity(64));
                 let mut seen = 0usize;
                 while seen < N {
                     out.clear();
-                    let n = q.drain_into(&mut out, 64);
+                    times.clear();
+                    let n = q.drain_into(&mut out, &mut times, 64);
                     seen += n;
                     if n == 0 {
                         std::thread::yield_now();

@@ -37,8 +37,9 @@
 //! cargo run --release -p rejuv-bench --bin monitord -- [options]
 //!
 //! options:
-//!   --hosts N            monitored hosts/shards (default 1; >1 runs the
-//!                        cluster with least-active routing)
+//!   --hosts N            monitored hosts/shards (default 1, at most
+//!                        65536; >1 runs the cluster with least-active
+//!                        routing)
 //!   --load L             per-host offered load in CPUs of GC work
 //!                        (default 8.0, the paper's moderate-load point)
 //!   --transactions T     total transactions to simulate (default 20000)
@@ -144,7 +145,7 @@ use rejuv_ecommerce::{EcommerceSystem, SystemConfig};
 use rejuv_monitor::{
     load_snapshot, read_events_tolerant, replay_fleet_events, save_snapshot, ConsumerPool,
     EventBus, EventLog, FleetConfig, MonitorEvent, MonitorReport, PoolStats, SharedSupervisor,
-    Supervisor, SupervisorConfig, SupervisorSnapshot,
+    Supervisor, SupervisorConfig, SupervisorSnapshot, MAX_SHARDS,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -318,6 +319,9 @@ fn parse_args(cli: impl IntoIterator<Item = String>) -> Result<Options, String> 
     }
     if opts.hosts == 0 {
         return Err("--hosts must be positive".to_owned());
+    }
+    if opts.hosts > MAX_SHARDS {
+        return Err(format!("--hosts must be at most {MAX_SHARDS}"));
     }
     if opts.consumers == 0 {
         return Err("--consumers must be positive".to_owned());
@@ -535,8 +539,9 @@ fn run_replay(opts: &Options, log_path: &PathBuf) -> Result<(), String> {
                 detector,
                 events.len()
             );
-            let specs = vec![spec; *shards as usize];
-            replay_fleet_events(&events, config, &specs, snapshot.as_ref())
+            let fleet = FleetConfig::homogeneous(spec, *shards as usize)
+                .map_err(|e| format!("event log {} header: {e}", log_path.display()))?;
+            replay_fleet_events(&events, config, fleet.specs(), snapshot.as_ref())
                 .map_err(|e| format!("replay of {} failed: {e}", log_path.display()))?
         }
         MonitorEvent::FleetStart {

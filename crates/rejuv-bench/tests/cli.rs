@@ -270,6 +270,7 @@ fn monitord_rejects_unparsable_values_without_a_backtrace() {
 fn monitord_rejects_missing_values_and_bad_combinations() {
     expect_failure(&["--hosts"], 2, "missing value for --hosts");
     expect_failure(&["--hosts", "0"], 2, "--hosts must be positive");
+    expect_failure(&["--hosts", "65537"], 2, "--hosts must be at most 65536");
     expect_failure(&["--detector", "nonsense"], 2, "unknown detector nonsense");
     expect_failure(
         &["--fleet", "whatever.toml", "--mu", "4.0"],
@@ -302,6 +303,21 @@ fn monitord_rejects_an_invalid_baseline_without_a_backtrace() {
         &["--replay", log.to_str().unwrap(), "--sigma", "-1"],
         2,
         "--mu/--sigma: invalid parameter sigma = -1",
+    );
+}
+
+// A header's shard count is read before anything else is checked: a
+// count past the limit is refused before it is allocated, not
+// aborted on.
+#[test]
+fn monitord_rejects_a_replay_header_with_too_many_shards() {
+    let log = Path::new(&tempdir("monitord-huge-header")).join("start.jsonl");
+    let header = r#"{"Start":{"shards":4000000000,"detector":"SRAA","queue_capacity":4,"drain_batch":4,"snapshot_every":null}}"#;
+    std::fs::write(&log, format!("{header}\n")).unwrap();
+    expect_failure(
+        &["--replay", log.to_str().unwrap()],
+        1,
+        "4000000000 shards exceed the limit of 65536 shards per fleet",
     );
 }
 

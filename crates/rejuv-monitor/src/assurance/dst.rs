@@ -377,14 +377,14 @@ fn run_backpressure_probe() {
     }
     // Give the producer a moment to actually sleep inside the park.
     std::thread::sleep(Duration::from_millis(5));
-    let mut out = Vec::new();
-    queue.drain_into(&mut out, 8);
+    let (mut values, mut times) = (Vec::new(), Vec::new());
+    queue.drain_into(&mut values, &mut times, 8);
     if let Err(payload) = producer.join() {
         // The armed site fired in the producer thread; surface it to
         // the harness's catch_unwind like any driver-side crash.
         panic::resume_unwind(payload);
     }
-    queue.drain_into(&mut out, 8);
+    queue.drain_into(&mut values, &mut times, 8);
 }
 
 // ---------------------------------------------------------------------

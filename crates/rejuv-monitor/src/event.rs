@@ -127,6 +127,12 @@ impl EventLog {
         self.sink.write_all(&self.line)
     }
 
+    /// Appends lines already encoded by [`encode_line`] or
+    /// [`encode_batch`].
+    pub(crate) fn write_encoded(&mut self, lines: &[u8]) -> io::Result<()> {
+        self.sink.write_all(lines)
+    }
+
     /// Flushes the underlying writer.
     pub fn flush(&mut self) -> io::Result<()> {
         self.sink.flush()
@@ -169,39 +175,52 @@ impl Write for SharedBuffer {
 /// Appends `event` and its terminating `\n` to `out`, byte-identical to
 /// `serde_json::to_string(event)` plus `\n`: keys in sorted order, each
 /// float as the token [`serde_json::float::write_json`] writes.
-fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
+pub(crate) fn encode_line(event: &MonitorEvent, out: &mut Vec<u8>) -> io::Result<()> {
     match event {
-        MonitorEvent::Batch { shard, seq, values } => {
-            write!(
-                out,
-                "{{\"Batch\":{{\"seq\":{seq},\"shard\":{shard},\"values\":"
-            )?;
-            encode_floats(values, out);
-        }
+        MonitorEvent::Batch { shard, seq, values } => encode_batch(*shard, *seq, values, None, out),
         MonitorEvent::TimedBatch {
             shard,
             seq,
             values,
             times,
-        } => {
-            write!(
-                out,
-                "{{\"TimedBatch\":{{\"seq\":{seq},\"shard\":{shard},\"times\":"
-            )?;
-            encode_floats(times, out);
-            out.extend_from_slice(b",\"values\":");
-            encode_floats(values, out);
-        }
+        } => encode_batch(*shard, *seq, values, Some(times), out),
         _ => {
             let text = serde_json::to_string(event)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             out.extend_from_slice(text.as_bytes());
             out.push(b'\n');
-            return Ok(());
         }
     }
-    out.extend_from_slice(b"}}\n");
     Ok(())
+}
+
+/// Appends the line of a drained batch from borrowed slices: a
+/// [`MonitorEvent::TimedBatch`] line when `times` is given, else a
+/// [`MonitorEvent::Batch`] line. The one batch encoder, for
+/// [`encode_line`] and for the drain path, which logs a batch straight
+/// from its scratch buffers.
+pub(crate) fn encode_batch(
+    shard: u32,
+    seq: u64,
+    values: &[f64],
+    times: Option<&[f64]>,
+    out: &mut Vec<u8>,
+) {
+    let tag = if times.is_some() {
+        "TimedBatch"
+    } else {
+        "Batch"
+    };
+    write!(out, "{{\"{tag}\":{{\"seq\":{seq},\"shard\":{shard},")
+        .expect("writing to a Vec cannot fail");
+    if let Some(times) = times {
+        out.extend_from_slice(b"\"times\":");
+        encode_floats(times, out);
+        out.push(b',');
+    }
+    out.extend_from_slice(b"\"values\":");
+    encode_floats(values, out);
+    out.extend_from_slice(b"}}\n");
 }
 
 fn encode_floats(values: &[f64], out: &mut Vec<u8>) {

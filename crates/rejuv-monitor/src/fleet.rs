@@ -58,6 +58,13 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
+/// The most shards one fleet may have. A fleet file's `shards` key and
+/// an event-log `Start` header's shard count are read before anything
+/// else is checked, and each shard costs a queue, a detector and three
+/// histograms, so a count past this bound is refused with
+/// [`FleetError::TooManyShards`] instead of being allocated.
+pub const MAX_SHARDS: usize = 65_536;
+
 /// Per-shard detector assignments for one supervisor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -109,6 +116,11 @@ pub enum FleetError {
         /// The raw value text.
         value: String,
     },
+    /// The fleet has more than [`MAX_SHARDS`] shards.
+    TooManyShards {
+        /// The shard count asked for.
+        shards: usize,
+    },
     /// A shard's assembled spec failed detector validation.
     Invalid {
         /// The offending shard index.
@@ -140,6 +152,10 @@ impl fmt::Display for FleetError {
             FleetError::BadValue { line, key, value } => {
                 write!(f, "line {line}: bad value `{value}` for key `{key}`")
             }
+            FleetError::TooManyShards { shards } => write!(
+                f,
+                "{shards} shards exceed the limit of {MAX_SHARDS} shards per fleet"
+            ),
             FleetError::Invalid { shard, source } => {
                 write!(f, "shard {shard}: {source}")
             }
@@ -148,6 +164,13 @@ impl fmt::Display for FleetError {
 }
 
 impl std::error::Error for FleetError {}
+
+fn check_shard_count(shards: usize) -> Result<(), FleetError> {
+    if shards > MAX_SHARDS {
+        return Err(FleetError::TooManyShards { shards });
+    }
+    Ok(())
+}
 
 /// Which section a parsed line belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,11 +189,13 @@ impl FleetConfig {
     /// # Errors
     ///
     /// [`FleetError::Empty`] for an empty list,
+    /// [`FleetError::TooManyShards`] for more than [`MAX_SHARDS`],
     /// [`FleetError::Invalid`] for a spec its builder rejects.
     pub fn new(specs: Vec<DetectorSpec>) -> Result<FleetConfig, FleetError> {
         if specs.is_empty() {
             return Err(FleetError::Empty);
         }
+        check_shard_count(specs.len())?;
         for (shard, spec) in specs.iter().enumerate() {
             spec.validate()
                 .map_err(|source| FleetError::Invalid { shard, source })?;
@@ -179,13 +204,22 @@ impl FleetConfig {
     }
 
     /// A homogeneous fleet: `shards` copies of one spec (what the old
-    /// `monitord --detector` flag expresses).
+    /// `monitord --detector` flag and a log's `Start` header express).
+    /// The count is checked before anything is allocated, and the
+    /// allocation itself is fallible.
     ///
     /// # Errors
     ///
-    /// As [`FleetConfig::new`].
+    /// As [`FleetConfig::new`]; [`FleetError::TooManyShards`] also when
+    /// the allocator refuses the specs.
     pub fn homogeneous(spec: DetectorSpec, shards: usize) -> Result<FleetConfig, FleetError> {
-        FleetConfig::new(vec![spec; shards])
+        check_shard_count(shards)?;
+        let mut specs = Vec::new();
+        specs
+            .try_reserve_exact(shards)
+            .map_err(|_| FleetError::TooManyShards { shards })?;
+        specs.resize(shards, spec);
+        FleetConfig::new(specs)
     }
 
     /// Parses the TOML-like fleet file format (see the module docs).
@@ -251,6 +285,7 @@ impl FleetConfig {
         if shards == 0 {
             return Err(FleetError::Empty);
         }
+        check_shard_count(shards)?;
         if implied > shards {
             return Err(FleetError::ShardOutOfRange {
                 shard: implied - 1,
@@ -478,6 +513,31 @@ detector = cusum
 reference = 0.5
 decision = 5.0
 "#;
+
+    #[test]
+    fn shard_counts_past_the_limit_are_refused_before_allocating() {
+        let spec = DetectorSpec::new(DetectorKind::Sraa);
+        for text in ["[fleet]\nshards = 4000000000\n", "[shard 4000000000]\n"] {
+            assert!(
+                matches!(
+                    FleetConfig::parse(text),
+                    Err(FleetError::TooManyShards { shards }) if shards > MAX_SHARDS
+                ),
+                "{text:?}"
+            );
+        }
+        let err = FleetConfig::homogeneous(spec, 4_000_000_000).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "4000000000 shards exceed the limit of 65536 shards per fleet"
+        );
+        assert_eq!(
+            FleetConfig::homogeneous(spec, MAX_SHARDS)
+                .unwrap()
+                .shard_count(),
+            MAX_SHARDS
+        );
+    }
 
     #[test]
     fn parses_a_mixed_fleet() {

@@ -90,7 +90,7 @@ pub use checkpoint::{load_snapshot, save_snapshot};
 pub use dlq::{DeadLetterQueue, DlqStats};
 pub use event::{read_events, read_events_tolerant, EventLog, MonitorEvent, SharedBuffer};
 pub use expo::{DrainPlane, ExpoSnapshot, ShardRuntime};
-pub use fleet::{FleetConfig, FleetError};
+pub use fleet::{FleetConfig, FleetError, MAX_SHARDS};
 pub use http::MetricsServer;
 pub use metrics::{Histogram, HistogramProblem, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
@@ -101,6 +101,7 @@ pub use supervisor::{
     SupervisorSnapshot, SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
 };
 
+use queue::UNTIMED;
 use rejuv_core::DetectorSpec;
 use std::io;
 
@@ -203,26 +204,27 @@ fn replay_into(
             continue; // the checkpoint already covers this batch
         }
         let offset = done.saturating_sub(seq) as usize;
+        let values = &values[offset..];
         let queue = supervisor.queue(shard);
         let free = queue.capacity() - queue.len();
-        if values.len() - offset > free {
+        if values.len() > free {
             return Err(invalid_log(format!(
                 "shard {shard} batch at seq {seq} holds {} values but the queue has room for {free}",
-                values.len() - offset
+                values.len()
             )));
         }
-        for (i, &value) in values.iter().enumerate().skip(offset) {
-            let accepted = match times.map(|t| t[i]) {
-                Some(at) if at.is_finite() => supervisor.ingest_at(shard, value, at),
-                _ => supervisor.ingest(shard, value),
-            };
-            if !accepted {
-                return Err(invalid_log(format!(
-                    "shard {shard} queue rejected value {} of the batch at seq {seq}",
-                    i - offset
-                )));
-            }
-        }
+        // One push for the whole batch; a non-finite time is untimed,
+        // as a live run's `ingest` would have queued it.
+        let pushed = match times {
+            Some(times) => queue.push_batch(
+                values
+                    .iter()
+                    .zip(&times[offset..])
+                    .map(|(&v, &at)| (v, if at.is_finite() { at } else { UNTIMED })),
+            ),
+            None => queue.push_batch(values.iter().map(|&v| (v, UNTIMED))),
+        };
+        assert_eq!(pushed, values.len(), "the batch fits the free space");
         while supervisor.poll_shard(shard)? > 0 {}
     }
     Ok(supervisor)
@@ -325,6 +327,57 @@ mod tests {
         // A batch that fits the same queue replays with nothing dropped.
         let ok = replay_fleet_events(&[batch(1, 0, 4)], config, &[sraa(); 2], None).unwrap();
         assert_eq!((ok.processed(1), ok.report().total_dropped), (4, 0));
+    }
+
+    #[test]
+    fn replay_applies_nothing_of_a_batch_that_overflows_the_queue() {
+        let config = SupervisorConfig {
+            queue_capacity: 4,
+            drain_batch: 4,
+            ..SupervisorConfig::default()
+        };
+        let supervisor = Supervisor::with_specs(config, &[sraa(); 2]).unwrap();
+        let queue = supervisor.queue(1).clone();
+        let events = [batch(1, 0, 3), batch(1, 3, 5)];
+        let Err(err) = replay_into(supervisor, &events, None) else {
+            panic!("an overflowing batch must not replay");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("holds 5 values but the queue has room for 4"),
+            "{err}"
+        );
+        // The first batch went in whole and was drained; not one value
+        // of the second reached the queue, and nothing was dropped.
+        assert_eq!((queue.accepted(), queue.dropped(), queue.len()), (3, 0, 0));
+    }
+
+    #[test]
+    fn replay_queues_non_finite_times_as_untimed() {
+        let times = vec![0.5, f64::INFINITY, f64::NAN, 2.0, f64::NEG_INFINITY, 3.25];
+        let values = vec![4.0, 60.0, 61.0, 5.0, 62.0, 3.0];
+        let event = MonitorEvent::TimedBatch {
+            shard: 0,
+            seq: 0,
+            values: values.clone(),
+            times: times.clone(),
+        };
+        let config = SupervisorConfig::default();
+        let replayed = replay_fleet_events(&[event], config, &[sraa()], None).unwrap();
+        let mut live = Supervisor::with_specs(config, &[sraa()]).unwrap();
+        for (&value, &at) in values.iter().zip(&times) {
+            if at.is_finite() {
+                live.ingest_at(0, value, at);
+            } else {
+                live.ingest(0, value);
+            }
+        }
+        while live.poll_all().unwrap() > 0 {}
+        assert_eq!(
+            serde_json::to_string(&replayed.report()).unwrap(),
+            serde_json::to_string(&live.report()).unwrap()
+        );
     }
 
     #[test]

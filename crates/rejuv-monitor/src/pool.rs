@@ -22,9 +22,12 @@
 //!
 //! # Events, checkpoints, shutdown
 //!
-//! Workers buffer log events per shard (in drain order) and flush them
-//! shard-major — shard 0's events, then shard 1's, … — at checkpoint
-//! time and at join. Per-shard event order is what replay consumes, so
+//! Workers encode log lines as they drain and buffer the bytes per
+//! shard (in drain order), flushing them shard-major — shard 0's lines,
+//! then shard 1's, … — at checkpoint time and at join. The buffer holds
+//! what the log file will (about 37 bytes per timed observation) for
+//! every batch since the last checkpoint. Per-shard event order is what
+//! replay consumes, so
 //! a flushed trace replays byte-identically no matter which workers
 //! drained; with a fixed preloaded workload the trace *bytes* are also
 //! identical across consumer counts, because batch boundaries and the
@@ -32,8 +35,8 @@
 //!
 //! Checkpoints are emitted under a gate lock: the emitting worker walks
 //! the shards in index order, capturing each shard's snapshot and
-//! buffered events at a drain-batch boundary (the per-shard lock
-//! excludes mid-batch state), flushes the events, then hands the
+//! buffered lines at a drain-batch boundary (the per-shard lock
+//! excludes mid-batch state), flushes the lines, then hands the
 //! assembled [`SupervisorSnapshot`] to the sink. Shards are *not*
 //! stopped globally — per-shard batch-boundary consistency is exactly
 //! what [`crate::replay_fleet_events`] needs, since it skips each
@@ -47,7 +50,6 @@
 use crate::assurance::failpoints::fp;
 use crate::bridge::SharedSupervisor;
 use crate::bus::{EventBus, OpEvent};
-use crate::event::MonitorEvent;
 use crate::queue::{ObsQueue, Wakeup, WorkNotifier};
 use crate::supervisor::{
     drain_shard, CheckpointStream, DrainScratch, MetricsFold, Shard, Supervisor, SupervisorConfig,
@@ -59,13 +61,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// One shard plus its buffered (not yet flushed) log events. The lock
+/// One shard plus its buffered (not yet flushed) log lines. The lock
 /// serialises drains, so a shard's observation sequence stays FIFO even
 /// when a steal lands mid-drain.
 struct ShardCell {
     shard: Shard,
-    /// Log events since the last flush, in drain order.
-    events: Vec<MonitorEvent>,
+    /// Encoded log lines since the last flush, in drain order.
+    lines: Vec<u8>,
 }
 
 struct ShardSlot {
@@ -129,7 +131,7 @@ impl PoolShared {
                 queue,
                 cell: Mutex::new(ShardCell {
                     shard,
-                    events: Vec::new(),
+                    lines: Vec::new(),
                 }),
             });
         }
@@ -153,25 +155,25 @@ impl PoolShared {
     }
 
     /// Drains one batch from shard `index` under its cell lock,
-    /// buffering any log events; returns observations processed.
-    fn drain_slot(&self, index: usize, worker: usize, scratch: &mut DrainScratch) -> usize {
+    /// buffering any log lines; returns observations processed.
+    fn drain_slot(
+        &self,
+        index: usize,
+        worker: usize,
+        scratch: &mut DrainScratch,
+    ) -> io::Result<usize> {
         fp!("pool.drain-slot");
         let mut guard = self.slots[index].cell.lock().expect("shard cell poisoned");
         let cell = &mut *guard;
-        let n = drain_shard(
-            index,
-            &mut cell.shard,
-            &self.config,
-            scratch,
-            self.logging,
-            &mut cell.events,
-        );
+        let lines = self.logging.then_some(&mut cell.lines);
+        let n = drain_shard(index, &mut cell.shard, &self.config, scratch, lines);
         drop(guard);
+        let n = n?;
         if n > 0 {
             self.total.fetch_add(n as u64, Ordering::Relaxed);
             self.drains[worker].fetch_add(n as u64, Ordering::Relaxed);
         }
-        n
+        Ok(n)
     }
 
     /// Tries to claim one shard with backlog `>= threshold` away from
@@ -228,20 +230,18 @@ impl PoolShared {
         fp!("pool.checkpoint-gate");
         let mut views = Vec::with_capacity(self.slots.len());
         let mut fold = MetricsFold::new();
-        let mut flushes: Vec<Vec<MonitorEvent>> = Vec::with_capacity(self.slots.len());
+        let mut flushes: Vec<Vec<u8>> = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let mut cell = slot.cell.lock().expect("shard cell poisoned");
             views.push(cell.shard.snapshot_view());
             fold.add(&cell.shard);
-            flushes.push(std::mem::take(&mut cell.events));
+            flushes.push(std::mem::take(&mut cell.lines));
         }
         let mut control = self.control.lock().expect("pool control poisoned");
         let control = &mut *control;
         if let Some(log) = control.log.as_mut() {
-            for events in &flushes {
-                for event in events {
-                    log.record(event)?;
-                }
+            for lines in &flushes {
+                log.write_encoded(lines)?;
             }
             log.flush()?;
         }
@@ -313,7 +313,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) -> io::Result<()> {
             if shared.owner[s].load(Ordering::Acquire) != me {
                 continue;
             }
-            drained += shared.drain_slot(s, worker, &mut batch);
+            drained += shared.drain_slot(s, worker, &mut batch)?;
         }
         if drained > 0 {
             desperate = false;
@@ -337,7 +337,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) -> io::Result<()> {
         fp!("pool.shutdown-sweep");
         let mut drained = 0;
         for s in 0..shared.slots.len() {
-            drained += shared.drain_slot(s, worker, &mut batch);
+            drained += shared.drain_slot(s, worker, &mut batch)?;
         }
         if drained == 0 {
             break;
@@ -557,7 +557,7 @@ impl ConsumerPool {
     }
 
     /// Signals shutdown, waits for the loss-free drain barrier, flushes
-    /// remaining buffered events shard-major, and hands back the
+    /// remaining buffered log lines shard-major, and hands back the
     /// reassembled supervisor (owned flavour) plus final telemetry.
     ///
     /// # Errors
@@ -599,9 +599,7 @@ impl ConsumerPool {
                 for slot in slots {
                     let cell = slot.cell.into_inner().expect("shard cell poisoned");
                     if let Some(log) = control.log.as_mut() {
-                        for event in &cell.events {
-                            log.record(event)?;
-                        }
+                        log.write_encoded(&cell.lines)?;
                     }
                     shards.push(cell.shard);
                 }
@@ -799,8 +797,8 @@ mod tests {
         // Nothing left for worker 1 to steal above the backlog bar once
         // the queues are drained.
         let mut batch = DrainScratch::default();
-        while shared.drain_slot(0, 0, &mut batch) > 0 {}
-        while shared.drain_slot(1, 0, &mut batch) > 0 {}
+        while shared.drain_slot(0, 0, &mut batch).unwrap() > 0 {}
+        while shared.drain_slot(1, 0, &mut batch).unwrap() > 0 {}
         assert!(!shared.try_steal(1, 1), "empty shards are never stolen");
         assert_eq!(shared.owner[1].load(Ordering::Relaxed), 0);
     }
@@ -926,7 +924,7 @@ mod tests {
                     Step::DrainOwned(worker) => {
                         for s in 0..SHARDS {
                             if shared.owner[s].load(Ordering::Relaxed) == *worker as u32 {
-                                shared.drain_slot(s, *worker, &mut batch);
+                                shared.drain_slot(s, *worker, &mut batch).unwrap();
                             }
                         }
                     }
@@ -949,7 +947,7 @@ mod tests {
                 loop {
                     let mut n = 0;
                     for s in 0..SHARDS {
-                        n += shared.drain_slot(s, worker, &mut batch);
+                        n += shared.drain_slot(s, worker, &mut batch).unwrap();
                     }
                     if n == 0 {
                         break;

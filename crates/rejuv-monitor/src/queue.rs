@@ -13,10 +13,13 @@
 //! inter-observation latency histograms; they never enter decision
 //! digests.
 //!
-//! The queue is a mutex-guarded ring buffer (a preallocated
-//! `VecDeque`). Batched pushes ([`ObsQueue::push_batch`]) and batched
-//! drains ([`ObsQueue::drain_into`]) each take the lock once, which
-//! amortises it to a few nanoseconds per sample. Any number of threads
+//! The queue is a mutex-guarded ring buffer stored as a structure of
+//! arrays: one ring of values, one of timestamps. Batched pushes
+//! ([`ObsQueue::push_batch`]) and batched drains
+//! ([`ObsQueue::drain_into`]) each take the lock once, which amortises
+//! it to a few nanoseconds per sample, and a drain copies each ring's
+//! contiguous spans straight into the caller's value and timestamp
+//! buffers. Any number of threads
 //! may push and drain concurrently; every operation is linearised by
 //! the lock, so the drained sequence is the push order.
 //!
@@ -38,9 +41,9 @@
 
 use crate::assurance::failpoints::fp;
 use crate::dlq::DeadLetterQueue;
-use std::collections::{TryReserveError, VecDeque};
+use std::collections::TryReserveError;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Timestamp marker for samples that carry no timestamp.
 pub(crate) const UNTIMED: f64 = f64::NAN;
@@ -144,16 +147,109 @@ struct Counters {
     waits: AtomicU64,
 }
 
+/// The queue's storage: values and timestamps in two parallel rings
+/// (structure of arrays), so a drain hands the detector plain slices.
+/// `head` is the slot of the oldest sample and `len` the occupancy;
+/// both rings share them.
+///
+/// The rings are reserved at their full capacity up front but grow
+/// their *length* only as slots are first written ([`Ring::fill`]):
+/// reserving maps address space without touching it, so a queue costs
+/// memory for the slots it has used, not for its bound. A drain that
+/// empties the queue moves `head` back to slot 0 (as `VecDeque` does),
+/// so a queue that never backs up keeps reusing its first slots instead
+/// of cycling through, and touching, the whole reservation.
+struct Ring {
+    values: Vec<f64>,
+    times: Vec<f64>,
+    head: usize,
+    len: usize,
+    capacity: usize,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Result<Self, TryReserveError> {
+        let mut values = Vec::new();
+        values.try_reserve_exact(capacity)?;
+        let mut times = Vec::new();
+        times.try_reserve_exact(capacity)?;
+        Ok(Ring {
+            values,
+            times,
+            head: 0,
+            len: 0,
+            capacity,
+        })
+    }
+
+    fn free(&self) -> usize {
+        self.capacity - self.len
+    }
+
+    /// Appends the next `n` samples of `it` (`n` at most the free
+    /// space): one zipped slice loop per contiguous span, at most two.
+    fn push(&mut self, it: &mut impl Iterator<Item = (f64, f64)>, n: usize) {
+        debug_assert!(n <= self.free());
+        let tail = self.head + self.len;
+        let (tail, first) = if tail >= self.capacity {
+            (tail - self.capacity, n)
+        } else {
+            (tail, n.min(self.capacity - tail))
+        };
+        self.fill(tail, tail + first, it);
+        self.fill(0, n - first, it);
+        self.len += n;
+    }
+
+    /// Writes slots `start..end` from `it`. Slots past the rings'
+    /// current length are used for the first time, so the rings grow to
+    /// `end` first. `start` is never past the length: every slot before
+    /// the tail was written when it went live.
+    fn fill(&mut self, start: usize, end: usize, it: &mut impl Iterator<Item = (f64, f64)>) {
+        if end > self.values.len() {
+            self.values.resize(end, 0.0);
+            self.times.resize(end, 0.0);
+        }
+        let slots = self.values[start..end]
+            .iter_mut()
+            .zip(&mut self.times[start..end]);
+        for ((value, at), (v, t)) in slots.zip(it) {
+            *value = v;
+            *at = t;
+        }
+    }
+
+    /// Appends up to `max` of the oldest samples to `values` and
+    /// `times` (at most two `extend_from_slice` per ring) and removes
+    /// them; returns how many.
+    fn drain_into(&mut self, values: &mut Vec<f64>, times: &mut Vec<f64>, max: usize) -> usize {
+        let take = self.len.min(max);
+        let first = take.min(self.capacity - self.head);
+        let span = self.head..self.head + first;
+        values.extend_from_slice(&self.values[span.clone()]);
+        times.extend_from_slice(&self.times[span]);
+        values.extend_from_slice(&self.values[..take - first]);
+        times.extend_from_slice(&self.times[..take - first]);
+        self.len -= take;
+        self.head = if self.len == 0 {
+            0
+        } else {
+            (self.head + take) % self.capacity
+        };
+        take
+    }
+}
+
 /// The state every clone of an [`ObsQueue`] shares.
 struct Inner {
-    buf: Mutex<VecDeque<(f64, f64)>>,
+    ring: Mutex<Ring>,
     /// Producers in `push_blocking` park here when the queue is full;
     /// `drain_into` notifies after freeing space.
     space: Condvar,
     capacity: usize,
-    /// Mirror of `buf.len()`, refreshed under the lock after every
-    /// mutation, so `backlog_hint` can answer with one relaxed load
-    /// instead of contending on the queue lock.
+    /// Mirror of the ring's occupancy, refreshed under the lock after
+    /// every mutation, so `backlog_hint` can answer with one relaxed
+    /// load instead of contending on the queue lock.
     occupancy: AtomicUsize,
     counters: Counters,
     /// Consumer wakeup hook, set once a consumer thread attaches.
@@ -166,14 +262,8 @@ struct Inner {
 
 impl Inner {
     fn new(capacity: usize) -> Result<Self, TryReserveError> {
-        // Preallocate the full bound: a bounded queue will reach
-        // exactly this length under back-pressure, so reserving it up
-        // front trades transient memory for never reallocating (and
-        // never stalling) on the hot path.
-        let mut buf = VecDeque::new();
-        buf.try_reserve_exact(capacity)?;
         Ok(Inner {
-            buf: Mutex::new(buf),
+            ring: Mutex::new(Ring::new(capacity)?),
             space: Condvar::new(),
             capacity,
             occupancy: AtomicUsize::new(0),
@@ -194,43 +284,60 @@ impl Inner {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("queue lock poisoned")
+    }
+
+    /// Parks on the space condvar until the ring has a free slot or
+    /// the queue shuts down.
+    fn wait_while_full<'a>(&self, ring: MutexGuard<'a, Ring>) -> MutexGuard<'a, Ring> {
+        self.space
+            .wait_while(ring, |r| {
+                r.free() == 0 && !self.shutdown.load(Ordering::SeqCst)
+            })
+            .expect("queue lock poisoned")
+    }
+
+    /// Appends `n` samples (at most the free space) under the held
+    /// lock, then publishes the occupancy, counts them and wakes the
+    /// consumer on an empty→non-empty transition.
+    fn push_locked(
+        &self,
+        mut ring: MutexGuard<'_, Ring>,
+        it: &mut impl Iterator<Item = (f64, f64)>,
+        n: usize,
+    ) {
+        let was_empty = ring.len == 0;
+        ring.push(it, n);
+        self.occupancy.store(ring.len, Ordering::Relaxed);
+        drop(ring);
+        self.counters
+            .accepted
+            .fetch_add(n as u64, Ordering::Relaxed);
+        if was_empty {
+            self.notify();
+        }
+    }
+
     /// Single push attempt; does not count drops (the caller decides
     /// whether a full queue is a real drop or a blocking retry).
     fn try_push(&self, value: f64, at: f64) -> bool {
         fp!("queue.mutex.push");
-        let mut buf = self.buf.lock().expect("queue lock poisoned");
-        if buf.len() >= self.capacity {
+        let ring = self.lock();
+        if ring.free() == 0 {
             return false;
         }
-        let was_empty = buf.is_empty();
-        buf.push_back((value, at));
-        self.occupancy.store(buf.len(), Ordering::Relaxed);
-        drop(buf);
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if was_empty {
-            self.notify();
-        }
+        self.push_locked(ring, &mut std::iter::once((value, at)), 1);
         true
     }
 
     /// Moves up to `space` leading samples out of `it` under one lock
     /// acquisition; returns how many were accepted.
     fn push_batch_partial(&self, it: &mut impl Iterator<Item = (f64, f64)>, want: usize) -> usize {
-        let mut buf = self.buf.lock().expect("queue lock poisoned");
-        let space = self.capacity - buf.len();
-        let take = want.min(space);
-        if take == 0 {
-            return 0;
-        }
-        let was_empty = buf.is_empty();
-        buf.extend(it.take(take));
-        self.occupancy.store(buf.len(), Ordering::Relaxed);
-        drop(buf);
-        self.counters
-            .accepted
-            .fetch_add(take as u64, Ordering::Relaxed);
-        if was_empty {
-            self.notify();
+        let ring = self.lock();
+        let take = want.min(ring.free());
+        if take > 0 {
+            self.push_locked(ring, it, take);
         }
         take
     }
@@ -250,24 +357,11 @@ impl Inner {
         // space seen is space used.
         self.counters.waits.fetch_add(1, Ordering::Relaxed);
         fp!("queue.mutex.park");
-        let mut buf = self.buf.lock().expect("queue lock poisoned");
-        buf = self
-            .space
-            .wait_while(buf, |b| {
-                b.len() >= self.capacity && !self.shutdown.load(Ordering::SeqCst)
-            })
-            .expect("queue lock poisoned");
-        if buf.len() >= self.capacity {
+        let ring = self.wait_while_full(self.lock());
+        if ring.free() == 0 {
             return false; // woken by shutdown, still full
         }
-        let was_empty = buf.is_empty();
-        buf.push_back((value, at));
-        self.occupancy.store(buf.len(), Ordering::Relaxed);
-        drop(buf);
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if was_empty {
-            self.notify();
-        }
+        self.push_locked(ring, &mut std::iter::once((value, at)), 1);
         true
     }
 
@@ -278,20 +372,13 @@ impl Inner {
             if self.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
-            if self.buf.lock().expect("queue lock poisoned").len() < self.capacity {
+            if self.lock().free() > 0 {
                 return true;
             }
             std::thread::yield_now();
         }
         self.counters.waits.fetch_add(1, Ordering::Relaxed);
-        let buf = self.buf.lock().expect("queue lock poisoned");
-        let buf = self
-            .space
-            .wait_while(buf, |b| {
-                b.len() >= self.capacity && !self.shutdown.load(Ordering::SeqCst)
-            })
-            .expect("queue lock poisoned");
-        buf.len() < self.capacity
+        self.wait_while_full(self.lock()).free() > 0
     }
 
     /// Sets the sticky shutdown flag and wakes every parked producer.
@@ -299,17 +386,16 @@ impl Inner {
         self.shutdown.store(true, Ordering::SeqCst);
         // Take the queue lock so a producer between its predicate check
         // and its sleep cannot miss this wakeup.
-        let _buf = self.buf.lock().expect("queue lock poisoned");
+        let _ring = self.lock();
         self.space.notify_all();
     }
 
-    fn drain_into(&self, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
+    fn drain_into(&self, values: &mut Vec<f64>, times: &mut Vec<f64>, max: usize) -> usize {
         fp!("queue.mutex.drain");
-        let mut buf = self.buf.lock().expect("queue lock poisoned");
-        let take = buf.len().min(max);
-        out.extend(buf.drain(..take));
-        self.occupancy.store(buf.len(), Ordering::Relaxed);
-        drop(buf);
+        let mut ring = self.lock();
+        let take = ring.drain_into(values, times, max);
+        self.occupancy.store(ring.len, Ordering::Relaxed);
+        drop(ring);
         if take > 0 {
             fp!("queue.mutex.unpark");
             self.space.notify_all();
@@ -318,7 +404,7 @@ impl Inner {
     }
 
     fn len(&self) -> usize {
-        self.buf.lock().expect("queue lock poisoned").len()
+        self.lock().len
     }
 }
 
@@ -546,12 +632,13 @@ impl ObsQueue {
         dlq.replay_with(|mut it, want| self.inner.push_batch_partial(&mut it, want))
     }
 
-    /// Moves up to `max` pending `(value, at)` samples into `out`
-    /// (appended in FIFO order), returning how many were moved. One
-    /// lock acquisition per batch; parked producers are woken when
-    /// space was freed.
-    pub fn drain_into(&self, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
-        self.inner.drain_into(out, max)
+    /// Moves up to `max` pending samples out of the queue, appending
+    /// their values to `values` and their timestamps to `times` in FIFO
+    /// order; returns how many were moved. One lock acquisition and at
+    /// most two slice copies per ring per batch; parked producers are
+    /// woken when space was freed.
+    pub fn drain_into(&self, values: &mut Vec<f64>, times: &mut Vec<f64>, max: usize) -> usize {
+        self.inner.drain_into(values, times, max)
     }
 
     /// Pending observations right now.
@@ -609,6 +696,7 @@ impl ObsQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
@@ -632,10 +720,10 @@ mod tests {
             q.push(v);
         }
         let mut out = Vec::new();
-        assert_eq!(q.drain_into(&mut out, 2), 2);
+        assert_eq!(drain(&q, &mut out, 2), 2);
         assert_eq!(values(&out), vec![1.0, 2.0]);
         assert!(q.push(4.0), "drain must free capacity");
-        assert_eq!(q.drain_into(&mut out, 10), 2);
+        assert_eq!(drain(&q, &mut out, 10), 2);
         assert_eq!(values(&out), vec![1.0, 2.0, 3.0, 4.0]);
         assert!(q.is_empty());
     }
@@ -644,13 +732,23 @@ mod tests {
         samples.iter().map(|&(v, _)| v).collect()
     }
 
+    /// [`ObsQueue::drain_into`], re-zipped into `(value, at)` pairs
+    /// appended to `out`.
+    fn drain(q: &ObsQueue, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
+        let (mut values, mut times) = (Vec::new(), Vec::new());
+        let n = q.drain_into(&mut values, &mut times, max);
+        assert_eq!((values.len(), times.len()), (n, n));
+        out.extend(values.into_iter().zip(times));
+        n
+    }
+
     #[test]
     fn timestamps_ride_along_and_untimed_is_nan() {
         let q = ObsQueue::bounded(4);
         q.push_at(1.5, 10.0);
         q.push(2.5);
         let mut out = Vec::new();
-        q.drain_into(&mut out, 8);
+        drain(&q, &mut out, 8);
         assert_eq!(out[0], (1.5, 10.0));
         assert_eq!(out[1].0, 2.5);
         assert!(out[1].1.is_nan(), "untimed samples carry NaN");
@@ -673,7 +771,7 @@ mod tests {
         assert_eq!(q.push_batch(batch), 3, "only three slots were free");
         assert_eq!((q.accepted(), q.dropped(), q.len()), (4, 2, 4));
         let mut out = Vec::new();
-        q.drain_into(&mut out, 10);
+        drain(&q, &mut out, 10);
         assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -691,9 +789,9 @@ mod tests {
             let took = q.push_batch(batch.clone());
             expected.extend(batch[..took].iter().map(|&(v, _)| v));
             next += n as f64;
-            q.drain_into(&mut out, 2);
+            drain(&q, &mut out, 2);
         }
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert_eq!(values(&out), expected);
         assert_eq!(q.accepted(), expected.len() as u64);
     }
@@ -707,10 +805,13 @@ mod tests {
             // Queue is full: the producer must wait for the drain below.
             producer.push_blocking(1.0);
         });
-        // Give the producer time to exhaust its spin budget and park.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Wait until the producer has exhausted its spin budget and
+        // counted its park; draining earlier would let a spin succeed.
+        while q.waits() == 0 {
+            std::thread::yield_now();
+        }
         let mut out = Vec::new();
-        q.drain_into(&mut out, 1);
+        drain(&q, &mut out, 1);
         handle.join().unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q.accepted(), 2);
@@ -727,7 +828,7 @@ mod tests {
         });
         let mut out = Vec::new();
         while out.len() < 64 {
-            if q.drain_into(&mut out, 8) == 0 {
+            if drain(&q, &mut out, 8) == 0 {
                 std::thread::yield_now();
             }
         }
@@ -774,7 +875,7 @@ mod tests {
             let mut expected = 0.0;
             while seen < N {
                 batch.clear();
-                let n = q.drain_into(&mut batch, 64);
+                let n = drain(&q, &mut batch, 64);
                 for &(v, _) in &batch {
                     assert_eq!(v, expected, "FIFO order must survive threading");
                     expected += 1.0;
@@ -809,7 +910,7 @@ mod tests {
             let mut expected = 0.0;
             while seen < N {
                 batch.clear();
-                let n = q.drain_into(&mut batch, 48);
+                let n = drain(&q, &mut batch, 48);
                 for &(v, _) in &batch {
                     assert_eq!(v, expected, "FIFO order must survive batching");
                     expected += 1.0;
@@ -833,9 +934,9 @@ mod tests {
         }
         assert_eq!(q.backlog_hint(), 5);
         let mut out = Vec::new();
-        q.drain_into(&mut out, 3);
+        drain(&q, &mut out, 3);
         assert_eq!(q.backlog_hint(), 2);
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert_eq!(q.backlog_hint(), 0);
     }
 
@@ -892,7 +993,7 @@ mod tests {
         q.clear_shutdown();
         assert!(!q.is_shutdown());
         let mut out = Vec::new();
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert!(q.push_blocking(4.0));
     }
 
@@ -924,10 +1025,10 @@ mod tests {
         q.push(2.0);
         q.push(3.0); // full -> dead-lettered
         let mut out = Vec::new();
-        q.drain_into(&mut out, usize::MAX); // frees all space
-                                            // The logical stream is queue ++ DLQ: while sample 3.0 is
-                                            // still pending, later pushes must line up behind it, not
-                                            // jump into the freed slots.
+        drain(&q, &mut out, usize::MAX); // frees all space
+                                         // The logical stream is queue ++ DLQ: while sample 3.0 is
+                                         // still pending, later pushes must line up behind it, not
+                                         // jump into the freed slots.
         assert!(q.push(4.0));
         assert_eq!(q.len(), 0, "push diverted to the DLQ");
         assert_eq!(values(&q.dlq().unwrap().contents()), vec![3.0, 4.0]);
@@ -944,14 +1045,14 @@ mod tests {
             q.push(v as f64); // 0,1 queued; 2,3,4 dead-lettered
         }
         let mut out = Vec::new();
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert_eq!(values(&out), vec![0.0, 1.0]);
         // Space for two: replay moves exactly the two oldest.
         assert_eq!(q.replay_dead_letters(), 2);
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(q.replay_dead_letters(), 1);
-        q.drain_into(&mut out, usize::MAX);
+        drain(&q, &mut out, usize::MAX);
         assert_eq!(values(&out), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         let stats = q.dlq().unwrap().stats();
         assert_eq!((stats.pending, stats.captured, stats.replayed), (0, 3, 3));
@@ -979,5 +1080,131 @@ mod tests {
         let q = ObsQueue::bounded(2);
         q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 2)));
         q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 2)));
+    }
+
+    /// The ring's live samples, oldest first, read in place.
+    fn live(q: &ObsQueue) -> Vec<(u64, u64)> {
+        let ring = q.inner.lock();
+        (0..ring.len)
+            .map(|i| (ring.head + i) % ring.capacity)
+            .map(|slot| (ring.values[slot].to_bits(), ring.times[slot].to_bits()))
+            .collect()
+    }
+
+    /// Every small ring state against a `VecDeque` model: capacities
+    /// 1–5, every head offset, then every push/drain/push/drain script
+    /// of sizes 0–6 and a final full drain. Covers the wrap-around, the
+    /// first-use growth of the rings and the accepted prefix of a push
+    /// that finds too little space.
+    #[test]
+    fn ring_matches_a_vecdeque_model_exhaustively() {
+        // Four steps, each of size 0..=6: 7^4 scripts per start state.
+        const SCRIPTS: usize = 7 * 7 * 7 * 7;
+        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            s.iter().map(|&(v, t)| (v.to_bits(), t.to_bits())).collect()
+        };
+        for capacity in 1..=5usize {
+            let mut heads = vec![false; capacity];
+            let mut wrapped = false;
+            for head in 0..capacity {
+                for script in 0..SCRIPTS {
+                    let sizes: [usize; 4] =
+                        std::array::from_fn(|k| script / 7usize.pow(k as u32) % 7);
+                    let q = ObsQueue::bounded(capacity);
+                    let mut model: VecDeque<(f64, f64)> = VecDeque::new();
+                    let (mut out, mut expected) = (Vec::new(), Vec::new());
+                    let mut next = 0u32;
+                    let mut push = |q: &ObsQueue, model: &mut VecDeque<(f64, f64)>, n: usize| {
+                        // Every third sample untimed, as producers mix.
+                        let batch: Vec<(f64, f64)> = (next..next + n as u32)
+                            .map(|i| {
+                                let at = if i % 3 == 2 {
+                                    UNTIMED
+                                } else {
+                                    f64::from(i) * 0.5
+                                };
+                                (f64::from(i), at)
+                            })
+                            .collect();
+                        next += n as u32;
+                        let fits = n.min(capacity - model.len());
+                        model.extend(&batch[..fits]);
+                        assert_eq!(q.push_batch(batch), fits, "accepted prefix");
+                    };
+                    // Reach slot `head` with one live sample.
+                    push(&q, &mut model, head + 1);
+                    assert_eq!(drain(&q, &mut out, head), head);
+                    expected.extend(model.drain(..head));
+                    for (step, &n) in sizes.iter().enumerate() {
+                        {
+                            let ring = q.inner.lock();
+                            heads[ring.head] = true;
+                            wrapped |= ring.head + ring.len > capacity;
+                        }
+                        if step % 2 == 0 {
+                            push(&q, &mut model, n);
+                        } else {
+                            let take = n.min(model.len());
+                            assert_eq!(drain(&q, &mut out, n), take);
+                            expected.extend(model.drain(..take));
+                        }
+                        assert_eq!(live(&q), bits(&model.iter().copied().collect::<Vec<_>>()));
+                        let ring = q.inner.lock();
+                        assert_eq!(ring.values.len(), ring.times.len());
+                        assert!(ring.values.len() <= capacity);
+                        assert!(ring.values.len() as u64 <= q.accepted());
+                        assert_eq!(q.backlog_hint(), model.len());
+                    }
+                    drain(&q, &mut out, usize::MAX);
+                    expected.extend(model.drain(..));
+                    assert_eq!(
+                        bits(&out),
+                        bits(&expected),
+                        "cap {capacity} head {head} {sizes:?}"
+                    );
+                    assert_eq!(q.accepted(), expected.len() as u64);
+                    assert_eq!(q.accepted() + q.dropped(), u64::from(next));
+                }
+            }
+            assert!(
+                heads.iter().all(|&h| h),
+                "every head offset of {capacity} reached"
+            );
+            assert!(
+                wrapped || capacity == 1,
+                "live samples wrapped at {capacity}"
+            );
+        }
+    }
+
+    /// The rings reserve their capacity but grow only over slots that
+    /// were written, and a queue drained to empty starts over at slot 0:
+    /// a large, lightly used queue touches little memory.
+    #[test]
+    fn rings_grow_only_over_slots_that_were_pushed() {
+        let q = ObsQueue::bounded(1 << 16);
+        let grown = |q: &ObsQueue| {
+            let ring = q.inner.lock();
+            (ring.values.len(), ring.times.len())
+        };
+        assert_eq!(grown(&q), (0, 0), "a new queue has written no slot");
+        assert!(q.inner.lock().values.capacity() >= 1 << 16);
+        assert_eq!(q.push_batch((0..10).map(|i| (f64::from(i), UNTIMED))), 10);
+        assert_eq!(grown(&q), (10, 10));
+        let mut out = Vec::new();
+        drain(&q, &mut out, 4);
+        assert!(q.push(10.0));
+        assert_eq!(grown(&q), (11, 11), "the tail grows while samples are live");
+        drain(&q, &mut out, usize::MAX);
+        for round in 0..1_000 {
+            let batch = (0..512).map(|i| (f64::from(round * 512 + i), UNTIMED));
+            assert_eq!(q.push_batch(batch), 512);
+            assert_eq!(drain(&q, &mut out, usize::MAX), 512);
+        }
+        assert_eq!(
+            grown(&q),
+            (512, 512),
+            "batches cycle through one batch of slots"
+        );
     }
 }

@@ -39,7 +39,7 @@
 use crate::assurance::failpoints::fp;
 use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
-use crate::event::{EventLog, MonitorEvent};
+use crate::event::{encode_batch, encode_line, EventLog, MonitorEvent};
 use crate::metrics::{Histogram, HistogramProblem, MetricsReport};
 use crate::queue::{ObsQueue, UNTIMED};
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
@@ -286,22 +286,22 @@ impl Shard {
 }
 
 /// Reusable buffers for one drain path (the supervisor owns one, each
-/// pool worker owns one): the raw `(value, timestamp)` batch popped
-/// from the queue, the bare value slice handed to the detector's batch
-/// kernel, and the fired sequence numbers it returns. One allocation
-/// set per drain plane, reused across every drained batch.
+/// pool worker owns one): the drained values, which the detector's
+/// batch kernel reads as a slice, their timestamps, and the fired
+/// sequence numbers the kernel returns. One allocation set per drain
+/// plane, reused across every drained batch.
 #[derive(Default)]
 pub(crate) struct DrainScratch {
-    pub(crate) batch: Vec<(f64, f64)>,
     values: Vec<f64>,
+    times: Vec<f64>,
     fired: Vec<u64>,
 }
 
 impl DrainScratch {
     pub(crate) fn with_capacity(drain_batch: usize) -> Self {
         DrainScratch {
-            batch: Vec::with_capacity(drain_batch),
             values: Vec::with_capacity(drain_batch),
+            times: Vec::with_capacity(drain_batch),
             fired: Vec::new(),
         }
     }
@@ -309,13 +309,13 @@ impl DrainScratch {
 
 /// Drains up to `config.drain_batch` pending observations of one shard
 /// through its detector, accumulating all metric state *inside the
-/// shard* and appending the events a log would record (batch,
-/// rejuvenations, detector snapshot — in that order) to `events` when
-/// `logging` is set. Shared verbatim by [`Supervisor::poll_shard`]
-/// (which writes the events through immediately) and the consumer
-/// pool's workers (which buffer them per shard and flush shard-major at
-/// checkpoint/join), so both paths process, count and hash identically
-/// by construction. Returns how many observations were processed.
+/// shard* and appending the encoded log lines (batch, rejuvenations,
+/// detector snapshot — in that order) to `log` when one is given.
+/// Shared verbatim by [`Supervisor::poll_shard`] (which writes the
+/// lines through immediately) and the consumer pool's workers (which
+/// buffer them per shard and flush shard-major at checkpoint/join), so
+/// both paths process, count and hash identically by construction.
+/// Returns how many observations were processed.
 ///
 /// The hot path is the **batch kernel**: one virtual
 /// [`RejuvenationDetector::observe_batch`] call per drained batch, the
@@ -325,45 +325,48 @@ impl DrainScratch {
 /// latency histogram. A detector without a batch kernel
 /// inherits the default per-sample `observe_batch` loop and yields the
 /// same shard state bit for bit (`tests/batch_scalar_equivalence.rs`).
+///
+/// # Errors
+///
+/// Encoding failures of a rejuvenation or snapshot line; the shard
+/// state has already advanced past the drained batch.
 pub(crate) fn drain_shard(
     index: usize,
     shard: &mut Shard,
     config: &SupervisorConfig,
     scratch: &mut DrainScratch,
-    logging: bool,
-    events: &mut Vec<MonitorEvent>,
-) -> usize {
-    let batch = &mut scratch.batch;
-    batch.clear();
+    mut log: Option<&mut Vec<u8>>,
+) -> io::Result<usize> {
+    let DrainScratch {
+        values: all_values,
+        times,
+        fired,
+    } = scratch;
+    all_values.clear();
+    times.clear();
     // Top up the main queue from the dead-letter queue (capture order)
     // before popping: the logical stream is `main queue ++ DLQ`, and
     // refilling first keeps every drained batch identical to the batch
     // an undropped run would have drained. No-op without a DLQ.
     shard.queue.replay_dead_letters();
-    shard.queue.drain_into(batch, config.drain_batch);
-    if batch.is_empty() {
-        return 0;
+    let n = shard
+        .queue
+        .drain_into(all_values, times, config.drain_batch);
+    if n == 0 {
+        return Ok(0);
     }
     let seq_start = shard.processed;
-    if logging {
-        let timed = batch.iter().any(|&(_, at)| at.is_finite());
-        events.push(if timed {
-            MonitorEvent::TimedBatch {
-                shard: index as u32,
-                seq: seq_start,
-                values: batch.iter().map(|&(v, _)| v).collect(),
-                times: batch.iter().map(|&(_, at)| at).collect(),
-            }
-        } else {
-            MonitorEvent::Batch {
-                shard: index as u32,
-                seq: seq_start,
-                values: batch.iter().map(|&(v, _)| v).collect(),
-            }
-        });
+    if let Some(out) = log.as_deref_mut() {
+        let timed = times.iter().any(|at| at.is_finite());
+        encode_batch(
+            index as u32,
+            seq_start,
+            all_values,
+            timed.then_some(&times[..]),
+            out,
+        );
     }
-    scratch.fired.clear();
-    let fired = &mut scratch.fired;
+    fired.clear();
     // Batch kernel: one virtual call per drained sub-chunk instead
     // of one per sample. The detector contract (`observe_batch` ≡
     // per-sample `observe`, bitwise) lets every per-sample artifact
@@ -388,18 +391,15 @@ pub(crate) fn drain_shard(
     // per-sample `observe` loop: same fold order, same accumulation
     // order, same subtraction per timed pair.
     const DRAIN_CHUNK: usize = 32;
-    let all_values = &mut scratch.values;
-    all_values.clear();
-    all_values.extend(batch.iter().map(|&(v, _)| v));
     let mut digest = shard.digest;
     let mut next_fired = 0;
     let mut last_at = shard.last_at;
     let latency_hist = &mut shard.latency_hist;
     let value_hist = &mut shard.value_hist;
-    let pairs = &batch[..];
+    let times = &times[..];
     let mut start = 0;
-    while start < pairs.len() {
-        let end = (start + DRAIN_CHUNK).min(pairs.len());
+    while start < n {
+        let end = (start + DRAIN_CHUNK).min(n);
         let values = &all_values[start..end];
         shard
             .detector
@@ -420,7 +420,7 @@ pub(crate) fn drain_shard(
                 digest = fold_sample(digest, value.to_bits(), false);
                 // Untimed producers (`at = NaN`) cost one
                 // predictable branch here.
-                let at = pairs[start + i].1;
+                let at = times[start + i];
                 if at.is_finite() {
                     if let Some(prev) = last_at {
                         latency_hist.record(at - prev);
@@ -435,7 +435,7 @@ pub(crate) fn drain_shard(
                 let fired_here = next_fired < fired_slice.len() && fired_slice[next_fired] == seq;
                 next_fired += fired_here as usize;
                 digest = fold_sample(digest, value.to_bits(), fired_here);
-                let at = pairs[start + i].1;
+                let at = times[start + i];
                 if at.is_finite() {
                     if let Some(prev) = last_at {
                         latency_hist.record(at - prev);
@@ -448,14 +448,14 @@ pub(crate) fn drain_shard(
     }
     shard.digest = digest;
     shard.last_at = last_at;
-    shard.processed += pairs.len() as u64;
+    shard.processed += n as u64;
     shard.rejuvenations += fired.len() as u64;
     shard.last_decision = if fired.last() == Some(&(shard.processed - 1)) {
         Decision::Rejuvenate
     } else {
         Decision::Continue
     };
-    shard.batch_hist.record(batch.len() as f64);
+    shard.batch_hist.record(n as f64);
     fp!("supervisor.drain-applied");
     if let Some(bus) = shard.bus.as_ref() {
         for &seq in fired.iter() {
@@ -465,28 +465,30 @@ pub(crate) fn drain_shard(
             });
         }
     }
-    if logging {
+    if let Some(out) = log.as_deref_mut() {
         for &seq in fired.iter() {
-            events.push(MonitorEvent::Rejuvenated {
+            let event = MonitorEvent::Rejuvenated {
                 shard: index as u32,
                 seq,
-            });
+            };
+            encode_line(&event, out)?;
         }
     }
     if let Some(every) = config.snapshot_every {
         let crossed = (shard.processed / every) > (seq_start / every);
         if crossed {
             shard.snapshots += 1;
-            if logging {
-                events.push(MonitorEvent::Snapshot {
+            if let Some(out) = log {
+                let event = MonitorEvent::Snapshot {
                     shard: index as u32,
                     seq: shard.processed - 1,
                     state: shard.detector_state(),
-                });
+                };
+                encode_line(&event, out)?;
             }
         }
     }
-    batch.len()
+    Ok(n)
 }
 
 /// Folds per-shard metric state into the [`MetricsReport`], in
@@ -1022,7 +1024,9 @@ pub struct Supervisor {
     shards: Vec<Shard>,
     log: Option<EventLog>,
     scratch: DrainScratch,
-    event_scratch: Vec<MonitorEvent>,
+    /// The log lines of the batch being drained, written through after
+    /// each drain.
+    lines: Vec<u8>,
     checkpoint: Option<CheckpointStream>,
     /// Operational event bus, if attached ([`Supervisor::set_bus`]).
     bus: Option<Arc<EventBus>>,
@@ -1128,7 +1132,7 @@ impl Supervisor {
             config,
             shards,
             log: None,
-            event_scratch: Vec::new(),
+            lines: Vec::new(),
             checkpoint: None,
             bus: None,
         })
@@ -1412,23 +1416,19 @@ impl Supervisor {
     }
 
     fn drain_one(&mut self, shard: usize, scratch: &mut DrainScratch) -> io::Result<usize> {
-        let logging = self.log.is_some();
-        let mut events = std::mem::take(&mut self.event_scratch);
-        events.clear();
+        let Some(log) = self.log.as_mut() else {
+            return drain_shard(shard, &mut self.shards[shard], &self.config, scratch, None);
+        };
+        self.lines.clear();
         let n = drain_shard(
             shard,
             &mut self.shards[shard],
             &self.config,
             scratch,
-            logging,
-            &mut events,
-        );
-        let result = match self.log.as_mut() {
-            Some(log) => events.iter().try_for_each(|event| log.record(event)),
-            None => Ok(()),
-        };
-        self.event_scratch = events;
-        result.map(|()| n)
+            Some(&mut self.lines),
+        )?;
+        log.write_encoded(&self.lines)?;
+        Ok(n)
     }
 
     /// Emits a checkpoint to the configured sink if the cadence was
@@ -1436,10 +1436,12 @@ impl Supervisor {
     /// persisted log always covers (at least) the checkpointed prefix —
     /// the invariant crash recovery relies on.
     fn maybe_checkpoint(&mut self) -> io::Result<()> {
-        let total = self.total_processed();
+        // Without a sink there is no cadence to check, and no reason to
+        // sum the shards on every poll.
         let Some(stream) = self.checkpoint.as_mut() else {
             return Ok(());
         };
+        let total = self.shards.iter().map(|s| s.processed).sum();
         if !stream.due(total) {
             return Ok(());
         }
@@ -1752,7 +1754,7 @@ impl Supervisor {
             config: parts.config,
             shards: parts.shards,
             log: parts.log,
-            event_scratch: Vec::new(),
+            lines: Vec::new(),
             checkpoint: parts.checkpoint,
             bus: parts.bus,
         }

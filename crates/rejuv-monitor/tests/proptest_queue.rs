@@ -74,6 +74,20 @@ impl Model {
     }
 }
 
+/// [`ObsQueue::drain_into`], re-zipped into `(value, at)` pairs
+/// appended to `out`; returns how many were drained.
+fn drain(q: &ObsQueue, out: &mut Vec<(f64, f64)>, max: usize) -> usize {
+    let (mut values, mut times) = (Vec::new(), Vec::new());
+    let n = q.drain_into(&mut values, &mut times, max);
+    assert_eq!(
+        (values.len(), times.len()),
+        (n, n),
+        "parallel drain buffers"
+    );
+    out.extend(values.into_iter().zip(times));
+    n
+}
+
 /// Applies one op to the queue and the model, returning how many
 /// samples each accepted.
 fn apply(
@@ -97,7 +111,7 @@ fn apply(
         }
         Op::PushBlocking(v, at) => {
             if q.len() == q.capacity() {
-                q.drain_into(out_q, 1);
+                drain(q, out_q, 1);
             }
             if model.buf.len() == model.capacity {
                 model.drain_into(out_m, 1);
@@ -108,7 +122,7 @@ fn apply(
             )
         }
         Op::Drain(max) => {
-            q.drain_into(out_q, *max);
+            drain(q, out_q, *max);
             model.drain_into(out_m, *max);
             (0, 0)
         }
@@ -142,7 +156,7 @@ proptest! {
             prop_assert_eq!(q.len(), model.buf.len());
         }
         // Final drain: a shutdown must lose nothing.
-        q.drain_into(&mut out_q, usize::MAX);
+        drain(&q, &mut out_q, usize::MAX);
         model.drain_into(&mut out_m, usize::MAX);
         prop_assert!(q.is_empty());
         prop_assert_eq!(bits(&out_q), bits(&out_m));
@@ -176,7 +190,7 @@ proptest! {
         prop_assert_eq!(q.accepted(), model.accepted);
         prop_assert_eq!(q.dropped(), model.dropped);
         let (mut out_q, mut out_m) = (Vec::new(), Vec::new());
-        q.drain_into(&mut out_q, usize::MAX);
+        drain(&q, &mut out_q, usize::MAX);
         model.drain_into(&mut out_m, usize::MAX);
         prop_assert_eq!(bits(&out_q), bits(&out_m));
     }
@@ -263,13 +277,13 @@ fn shutdown_drain_is_loss_free() {
     let consumer = std::thread::spawn(move || {
         let mut out = Vec::new();
         loop {
-            while consumer_q.drain_into(&mut out, 8) > 0 {}
+            while drain(&consumer_q, &mut out, 8) > 0 {}
             if consumer_n.wait() == rejuv_monitor::Wakeup::Shutdown {
                 break;
             }
         }
         // Final drain after the shutdown signal.
-        while consumer_q.drain_into(&mut out, 8) > 0 {}
+        while drain(&consumer_q, &mut out, 8) > 0 {}
         out
     });
     for i in 0..500u64 {
