@@ -13,9 +13,12 @@
 //! - `float_format`: float text alone, std's `{}` against
 //!   [`serde_json::float::write_plain`] (which must give the same
 //!   bytes; checked before timing);
-//! - `decode_parts`: `str::parse::<f64>` alone over the record's float
-//!   tokens, cut out of the encoded line beforehand. Its gap to
-//!   `decode_timed_batch` is the decoder's line scanning and `Vec`
+//! - `decode_parts`: float reading alone over the record's float
+//!   tokens, cut out of the encoded line beforehand: std's
+//!   `str::parse::<f64>` against [`serde_json::float::read_json`], the
+//!   reader the decoder uses (which must give the same bits; checked
+//!   before timing). The gap between `read_json_timed_batch` and
+//!   `decode_timed_batch` is line reading, the key prefixes and `Vec`
 //!   building.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -160,6 +163,19 @@ fn bench_codec_parts(c: &mut Criterion) {
                 .map(|t| t.parse::<f64>().expect("float"))
                 .sum::<f64>()
         });
+    });
+    let read = |t: &str| serde_json::float::read_json(t.as_bytes()).expect("float token");
+    for (token, want) in tokens.iter().zip(&parsed) {
+        let (value, len) = read(token);
+        assert_eq!(
+            value.to_bits(),
+            want.to_bits(),
+            "read_json matches str::parse"
+        );
+        assert_eq!(len, token.len(), "read_json reads the whole token");
+    }
+    group.bench_function("read_json_timed_batch", |b| {
+        b.iter(|| black_box(&tokens).iter().map(|t| read(t).0).sum::<f64>());
     });
     group.finish();
 }

@@ -234,54 +234,69 @@ fn encode_floats(values: &[f64], out: &mut Vec<u8>) {
     out.push(b']');
 }
 
-/// Parses one log line. Canonical `Batch`/`TimedBatch` lines (exactly
-/// what [`EventLog::record`] writes) take a hand-rolled fast path; every
-/// other line, and any token the fast path is not sure of, goes to
-/// `serde_json::from_str`. The fast path accepts only lines the serde
-/// path also accepts, and yields a bitwise-equal event for them.
-fn decode_line(line: &str) -> Result<MonitorEvent, serde_json::Error> {
-    match BatchLine::parse(line) {
-        Some(event) => Ok(event),
-        None => serde_json::from_str(line),
+/// Parses one log line: `Ok(None)` for a blank one. Canonical
+/// `Batch`/`TimedBatch` lines (exactly what [`EventLog::record`] writes)
+/// take a hand-rolled fast path over the raw bytes; every other line,
+/// and any token the fast path is not sure of, is checked for UTF-8 and
+/// goes to `serde_json::from_str`. The fast path accepts only lines the
+/// serde path also accepts, and yields a bitwise-equal event for them.
+fn decode_line(line: &[u8]) -> Result<Option<MonitorEvent>, String> {
+    if let Some(event) = BatchLine::parse(line) {
+        return Ok(Some(event));
     }
+    if is_blank(line) {
+        return Ok(None);
+    }
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+    serde_json::from_str(text)
+        .map(Some)
+        .map_err(|e| e.to_string())
+}
+
+/// Whether a line is blank (whitespace only); a line that is not UTF-8
+/// is not blank.
+fn is_blank(line: &[u8]) -> bool {
+    std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
 }
 
 /// Cursor over one canonical batch line (the [`decode_line`] fast
 /// path). Every method returns `None` at the first byte it does not
-/// expect, which sends the whole line to the serde path.
+/// expect, which sends the whole line to the serde path. The line is
+/// ASCII wherever this accepts it, so it needs no UTF-8 check.
 ///
 /// The serde parser reads a number as the longest run of
 /// `[0-9.eE+-]`. Every number the fast path accepts is followed by `,`,
 /// `]` or `}` (checked by the caller), so both parsers see the same
-/// token and, through `str::parse`, the same value.
+/// token, and [`serde_json::float::read_json`] reads it bitwise equal
+/// to the `str::parse` the serde path uses.
 struct BatchLine<'a> {
-    text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> BatchLine<'a> {
-    fn parse(text: &'a str) -> Option<MonitorEvent> {
-        let mut cur = BatchLine { text, pos: 0 };
-        let timed = if cur.eat("{\"Batch\":{\"seq\":") {
+    fn parse(bytes: &'a [u8]) -> Option<MonitorEvent> {
+        let mut cur = BatchLine { bytes, pos: 0 };
+        let timed = if cur.eat(b"{\"Batch\":{\"seq\":") {
             false
-        } else if cur.eat("{\"TimedBatch\":{\"seq\":") {
+        } else if cur.eat(b"{\"TimedBatch\":{\"seq\":") {
             true
         } else {
             return None;
         };
         let seq = cur.unsigned()?;
-        cur.expect(",\"shard\":")?;
+        cur.expect(b",\"shard\":")?;
         let shard = u32::try_from(cur.unsigned()?).ok()?;
         let times = if timed {
-            cur.expect(",\"times\":")?;
+            cur.expect(b",\"times\":")?;
             Some(cur.floats()?)
         } else {
             None
         };
-        cur.expect(",\"values\":")?;
+        cur.expect(b",\"values\":")?;
         let values = cur.floats()?;
-        cur.expect("}}")?;
-        if cur.pos != text.len() {
+        cur.expect(b"}}")?;
+        if cur.pos != bytes.len() {
             return None;
         }
         Some(match times {
@@ -295,116 +310,73 @@ impl<'a> BatchLine<'a> {
         })
     }
 
-    fn bytes(&self) -> &'a [u8] {
-        self.text.as_bytes()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.pos).copied()
-    }
-
-    fn eat(&mut self, tag: &str) -> bool {
-        let hit = self.bytes()[self.pos..].starts_with(tag.as_bytes());
+    fn eat(&mut self, tag: &[u8]) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(tag);
         if hit {
             self.pos += tag.len();
         }
         hit
     }
 
-    fn expect(&mut self, tag: &str) -> Option<()> {
+    fn expect(&mut self, tag: &[u8]) -> Option<()> {
         self.eat(tag).then_some(())
     }
 
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
+    /// A run of decimal digits as a `u64`; `None` if it is empty or
+    /// overflows.
     fn unsigned(&mut self) -> Option<u64> {
         let start = self.pos;
-        if self.digits() == 0 {
-            return None;
+        let mut n = 0u64;
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            self.pos += 1;
         }
-        self.text[start..self.pos].parse().ok()
+        (self.pos > start).then_some(n)
     }
 
-    /// A JSON array of float tokens and `null`s (NaN).
+    /// A JSON array of float tokens (the strict grammar of
+    /// [`serde_json::float::read_json`], which leaves integer tokens
+    /// such as `-0` to serde) and `null`s (NaN).
     fn floats(&mut self) -> Option<Vec<f64>> {
-        self.expect("[")?;
+        self.expect(b"[")?;
         let mut out = Vec::new();
-        if self.eat("]") {
+        if self.eat(b"]") {
             return Some(out);
         }
         loop {
-            out.push(if self.eat("null") {
+            out.push(if self.eat(b"null") {
                 f64::NAN
             } else {
-                self.float()?
+                let (v, len) = serde_json::float::read_json(&self.bytes[self.pos..])?;
+                self.pos += len;
+                v
             });
-            if self.eat("]") {
+            if self.eat(b"]") {
                 return Some(out);
             }
-            self.expect(",")?;
+            self.expect(b",")?;
         }
-    }
-
-    /// One strict-grammar JSON number with a fraction or an exponent:
-    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Integer tokens
-    /// are left to serde, which reads them as integers first (so `-0`
-    /// becomes `+0.0` there).
-    fn float(&mut self) -> Option<f64> {
-        let start = self.pos;
-        self.eat("-");
-        let int_start = self.pos;
-        let int_digits = self.digits();
-        if int_digits == 0 || (int_digits > 1 && self.bytes()[int_start] == b'0') {
-            return None;
-        }
-        let mut is_float = false;
-        if self.eat(".") {
-            if self.digits() == 0 {
-                return None;
-            }
-            is_float = true;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return None;
-            }
-            is_float = true;
-        }
-        if !is_float {
-            return None;
-        }
-        self.text[start..self.pos].parse().ok()
     }
 }
 
 /// Reads the next line into `buf` (cleared first), dropping a `\n` or
 /// `\r\n` terminator exactly as [`BufRead::lines`] does. `Ok(false)` at
-/// end of input.
-fn next_line<R: BufRead>(reader: &mut R, buf: &mut String) -> io::Result<bool> {
+/// end of input. The bytes are not checked for UTF-8 here.
+fn next_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     buf.clear();
-    if reader.read_line(buf)? == 0 {
+    if reader.read_until(b'\n', buf)? == 0 {
         return Ok(false);
     }
-    if buf.ends_with('\n') {
+    if buf.ends_with(b"\n") {
         buf.pop();
-        if buf.ends_with('\r') {
+        if buf.ends_with(b"\r") {
             buf.pop();
         }
     }
     Ok(true)
 }
 
-fn invalid_line(number: usize, e: serde_json::Error) -> io::Error {
+fn invalid_line(number: usize, e: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("event log line {number}: {e}"),
@@ -415,17 +387,15 @@ fn invalid_line(number: usize, e: serde_json::Error) -> io::Error {
 ///
 /// # Errors
 ///
-/// I/O errors from the reader, or `InvalidData` for unparseable lines.
+/// I/O errors from the reader, or `InvalidData`, naming the line, for a
+/// line that does not parse or is not UTF-8.
 pub fn read_events<R: BufRead>(mut reader: R) -> io::Result<Vec<MonitorEvent>> {
     let mut events = Vec::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut number = 0;
     while next_line(&mut reader, &mut line)? {
         number += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(decode_line(&line).map_err(|e| invalid_line(number, e))?);
+        events.extend(decode_line(&line).map_err(|e| invalid_line(number, e))?);
     }
     Ok(events)
 }
@@ -434,8 +404,9 @@ pub fn read_events<R: BufRead>(mut reader: R) -> io::Result<Vec<MonitorEvent>> {
 /// footprint of a crash (or `SIGTERM`) that caught the writer mid-line.
 ///
 /// All complete lines are parsed exactly as [`read_events`] would; a
-/// final line that fails to parse is dropped and returned as
-/// `Some(line)` so the caller can report it. A parse failure on any
+/// final line that fails to parse, or is not UTF-8, is dropped and
+/// returned as `Some(line)` (invalid UTF-8 replaced by U+FFFD) so the
+/// caller can report it. A parse failure on any
 /// *non-final* line is still an error: mid-log corruption is never
 /// silently skipped.
 ///
@@ -451,25 +422,22 @@ pub fn read_events_tolerant<R: BufRead>(
     mut reader: R,
 ) -> io::Result<(Vec<MonitorEvent>, Option<String>)> {
     let mut events = Vec::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut number = 0;
     while next_line(&mut reader, &mut line)? {
         number += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
         match decode_line(&line) {
-            Ok(event) => events.push(event),
+            Ok(event) => events.extend(event),
             Err(e) => {
-                let mut rest = String::new();
+                let mut rest = Vec::new();
                 let mut corrupt = false;
                 while next_line(&mut reader, &mut rest)? {
-                    corrupt |= !rest.trim().is_empty();
+                    corrupt |= !is_blank(&rest);
                 }
                 if corrupt {
                     return Err(invalid_line(number, e));
                 }
-                return Ok((events, Some(line)));
+                return Ok((events, Some(String::from_utf8_lossy(&line).into_owned())));
             }
         }
     }

@@ -10,8 +10,9 @@
 //!    serde result (non-finite floats come back as `NaN`, compared by
 //!    bits);
 //! 3. *fallback*: non-canonical and malformed lines give the same event
-//!    or the same error as a `lines()` + `serde_json::from_str`
-//!    reference reader;
+//!    or the same error as a reference reader that splits the log into
+//!    lines, checks each for UTF-8 and hands it to
+//!    `serde_json::from_str`;
 //! 4. *torn tails*: a log cut at any byte offset gives
 //!    `read_events_tolerant` the same `(events, torn)` as the reference.
 
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 use rejuv_monitor::{
     load_snapshot, read_events, read_events_tolerant, EventLog, MonitorEvent, SharedBuffer,
 };
-use std::io::{self, BufRead};
+use std::io;
 
 /// Floats whose text form is easy to get wrong: zeros, subnormals, the
 /// extremes of the exponent range, integral values (which need `.0`)
@@ -144,48 +145,62 @@ fn through_json(event: &MonitorEvent) -> MonitorEvent {
     }
 }
 
-/// The reference reader: `BufRead::lines` plus `serde_json::from_str`
-/// per line, exactly the pre-codec `read_events`.
+/// The lines of a log as raw bytes, split and stripped of a `\n` or
+/// `\r\n` terminator exactly as `BufRead::lines` does.
+fn byte_lines(bytes: &[u8]) -> Vec<&[u8]> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(|line| match line.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => line,
+        })
+        .collect()
+}
+
+/// One line through the plain path: UTF-8, then blank (`None`) or
+/// `serde_json::from_str`.
+fn reference_decode(line: &[u8]) -> Result<Option<MonitorEvent>, String> {
+    let line = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+    if line.trim().is_empty() {
+        return Ok(None);
+    }
+    serde_json::from_str(line)
+        .map(Some)
+        .map_err(|e| e.to_string())
+}
+
+fn reference_error(number: usize, e: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("event log line {}: {e}", number + 1),
+    )
+}
+
+/// The reference reader: every line through [`reference_decode`].
 fn reference_read(bytes: &[u8]) -> io::Result<Vec<MonitorEvent>> {
     let mut events = Vec::new();
-    for (number, line) in io::Cursor::new(bytes).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("event log line {}: {e}", number + 1),
-            )
-        })?;
-        events.push(event);
+    for (number, line) in byte_lines(bytes).into_iter().enumerate() {
+        events.extend(reference_decode(line).map_err(|e| reference_error(number, e))?);
     }
     Ok(events)
 }
 
 /// The reference tolerant reader: collect every line, then parse, and
-/// forgive a parse failure only on the last non-blank line.
+/// forgive a failure only on the last non-blank line.
 fn reference_read_tolerant(bytes: &[u8]) -> io::Result<(Vec<MonitorEvent>, Option<String>)> {
-    let lines: Vec<String> = io::Cursor::new(bytes).lines().collect::<io::Result<_>>()?;
+    let lines = byte_lines(bytes);
     let last_content = lines
         .iter()
-        .rposition(|l| !l.trim().is_empty())
+        .rposition(|l| !matches!(reference_decode(l), Ok(None)))
         .unwrap_or(0);
     let mut events = Vec::new();
     for (number, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str(line) {
-            Ok(event) => events.push(event),
-            Err(_) if number == last_content => return Ok((events, Some(line.clone()))),
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("event log line {}: {e}", number + 1),
-                ))
+        match reference_decode(line) {
+            Ok(event) => events.extend(event),
+            Err(_) if number == last_content => {
+                return Ok((events, Some(String::from_utf8_lossy(line).into_owned())))
             }
+            Err(e) => return Err(reference_error(number, e)),
         }
     }
     Ok((events, None))
@@ -349,6 +364,92 @@ fn non_canonical_lines_match_the_reference() {
         assert_same_read(&bytes);
         assert_same_tolerant(&bytes);
     }
+}
+
+/// Canonical batch lines whose float tokens leave the reader's common
+/// path: more than 19 significant digits and saturated exponents
+/// (handed to `str::parse`), out-of-range exponents, subnormals and
+/// negative zero. Each decodes bitwise equal to the reference.
+#[test]
+fn fallback_tokens_in_canonical_lines_match_the_reference() {
+    let big = {
+        let mut token = Vec::new();
+        serde_json::float::write_json(&mut token, 1e300);
+        String::from_utf8(token).unwrap()
+    };
+    let tokens = [
+        "12345678901234567890.5",
+        "0.12345678901234567890123",
+        "1.00000000000000000000001",
+        "9007199254740993.00000000000000001",
+        "0.000000000000000000000000000012345678901234567890123",
+        big.as_str(),
+        "1e400",
+        "-1e400",
+        "1E+400",
+        "1e-400",
+        "-1e-400",
+        "1.0e99999999999999999999",
+        "1.0e-99999999999999999999",
+        "4.9e-324",
+        "5e-324",
+        "2.4703282292062327e-324",
+        "2.4703282292062328e-324",
+        "1.5e-310",
+        "2.2250738585072011e-308",
+        "-0.0",
+        "-0.0e0",
+        "-0e5",
+        "-0.000",
+    ];
+    let mut lines = Vec::new();
+    for token in tokens {
+        // Both record shapes, with the token in each array.
+        lines.push(format!(
+            r#"{{"Batch":{{"seq":1,"shard":0,"values":[1.5,{token},null]}}}}"#
+        ));
+        lines.push(format!(
+            r#"{{"TimedBatch":{{"seq":2,"shard":1,"times":[{token},0.5],"values":[2.5,{token}]}}}}"#
+        ));
+    }
+    let log = lines.join("\n") + "\n";
+    let events = read_events(io::Cursor::new(log.as_bytes())).expect("every line parses");
+    assert_eq!(events.len(), lines.len());
+    assert_same_read(log.as_bytes());
+    assert_same_tolerant(log.as_bytes());
+    for (event, token) in events.iter().step_by(2).zip(tokens) {
+        let want: f64 = token.parse().unwrap();
+        assert_eq!(float_bits(event).0[1], want.to_bits(), "{token}");
+    }
+}
+
+/// A line that is not UTF-8 is a numbered `InvalidData` error like any
+/// other bad line, and as the final line it is a torn tail.
+#[test]
+fn non_utf8_lines_are_numbered_errors_or_torn_tails() {
+    let good = b"{\"Batch\":{\"seq\":7,\"shard\":1,\"values\":[1.5]}}\n";
+    let bad = b"{\"Batch\":{\"seq\":8,\"shard\":1,\"values\":[2.5\xff]}}\n";
+    let mut mid = good.to_vec();
+    mid.extend_from_slice(bad);
+    mid.extend_from_slice(good);
+    let err = read_events(io::Cursor::new(&mid)).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().starts_with("event log line 2: "), "{err}");
+    let err = read_events_tolerant(io::Cursor::new(&mid)).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().starts_with("event log line 2: "), "{err}");
+
+    let mut tail = good.to_vec();
+    tail.extend_from_slice(&bad[..bad.len() - 1]);
+    tail.extend_from_slice(b"\n\n");
+    let (events, torn) = read_events_tolerant(io::Cursor::new(&tail)).unwrap();
+    assert_eq!(events.len(), 1);
+    assert_eq!(
+        torn.as_deref(),
+        Some("{\"Batch\":{\"seq\":8,\"shard\":1,\"values\":[2.5\u{fffd}]}}")
+    );
+    let err = read_events(io::Cursor::new(&tail)).unwrap_err();
+    assert!(err.to_string().starts_with("event log line 2: "), "{err}");
 }
 
 #[test]

@@ -1,7 +1,11 @@
-//! Shortest round-trip `f64` formatting, byte-identical to std's `{}`.
+//! `f64` text both ways, bit for bit what std does: shortest round-trip
+//! formatting byte-identical to `{}`, and JSON float reading
+//! bitwise-equal to `str::parse`.
 //!
 //! [`write_plain`] appends exactly the bytes `format!("{v}")` produces
-//! for every `f64`; [`write_json`] is the JSON float token built on it.
+//! for every `f64`; [`write_json`] is the JSON float token built on it,
+//! and [`read_json`] reads such a token back.
+//!
 //! The digits come from Ryū (Ulf Adams, "Ryū: Fast Float-to-String
 //! Conversion", PLDI 2018): the shortest decimal that parses back to
 //! the same `f64`, nearest to the exact binary value. They are laid out
@@ -19,6 +23,15 @@
 //! - **The power-of-5 tables are built at compile time**: `static`s
 //!   initialised by a short bignum in `const fn`s below, so no process
 //!   ever pays to build them.
+//!
+//! Reading makes one pass over the token, gathering the decimal
+//! significand eight digits at a time where it can, and then computes
+//! the `f64` with Eisel–Lemire (Daniel Lemire, "Number Parsing at a
+//! Gigabyte per Second", arXiv 2101.11408), the algorithm std's own
+//! parser uses, from a third compile-time table. The rare tokens it
+//! cannot decide (more than 19 significant digits, a saturated
+//! exponent, a product too close to a rounding boundary) go to
+//! `str::parse`.
 
 const MANTISSA_BITS: u32 = 52;
 const EXPONENT_BIAS: i32 = 1023;
@@ -35,6 +48,18 @@ static POW5_SPLIT: [[u64; 2]; POW5_TABLE_LEN] = pow5_table();
 /// `floor(2^j / 5^i) + 1` with `j = pow5bits(i) - 1 + POW5_INV_BITCOUNT`,
 /// as `[low 64, high 64]`.
 static POW5_INV_SPLIT: [[u64; 2]; POW5_INV_TABLE_LEN] = pow5_inv_table();
+
+/// The decimal exponents [`POW5_128`] covers. Below the smallest, every
+/// significand of up to 19 digits rounds to zero; above the largest,
+/// every non-zero one overflows to infinity.
+const POW10_MIN: i64 = -342;
+const POW10_MAX: i64 = 308;
+const POW5_128_LEN: usize = (POW10_MAX - POW10_MIN + 1) as usize;
+/// `5^q` for `q` in `POW10_MIN..=POW10_MAX`, scaled by a power of two
+/// into `[2^127, 2^128)`, as `[low 64, high 64]`: truncated for `q ≥ 0`
+/// and `q < -27`, the truncation plus one for `-27 ≤ q < 0`. These are
+/// the entries of Lemire's `fast_float` table, which std's parser uses.
+static POW5_128: [[u64; 2]; POW5_128_LEN] = pow5_128_table();
 
 /// `"00" "01" … "99"`: two ASCII digits per index.
 static DIGIT_PAIRS: [u8; 200] = {
@@ -271,6 +296,219 @@ const fn pow5bits(e: i32) -> i32 {
 }
 
 // ---------------------------------------------------------------------
+// Reading: one scan of the token, then Eisel–Lemire.
+// ---------------------------------------------------------------------
+
+/// Reads the JSON float token at the start of `bytes` and returns its
+/// value, bitwise equal to `str::parse::<f64>` on the token, and the
+/// token's length.
+///
+/// The grammar is JSON's, with a fraction or an exponent required:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Integer tokens,
+/// tokens cut short (`1.`, `1.5e+`) and everything else give `None`.
+/// What follows the token is the caller's to check: reading stops at
+/// the first byte the grammar cannot extend it with, so `1.5.5` reads
+/// as `1.5`, length 3.
+// `#[inline]` here and on the two helpers lets the event-log decoder,
+// which calls this once per float from another crate, inline the
+// whole reader: about 8 % off its decode time per observation.
+#[inline]
+pub fn read_json(bytes: &[u8]) -> Option<(f64, usize)> {
+    let negative = bytes.first() == Some(&b'-');
+    let int_start = usize::from(negative);
+    let mut significand = 0u64;
+    let mut pos = scan_digits(bytes, int_start, &mut significand);
+    let int_len = pos - int_start;
+    if int_len == 0 || (int_len > 1 && bytes[int_start] == b'0') {
+        return None;
+    }
+    // Digits from the first non-zero one; the integer part is either
+    // `0` or starts with a non-zero digit.
+    let int_is_zero = bytes[int_start] == b'0';
+    let mut significant = if int_is_zero { 0 } else { int_len };
+    let mut exponent = 0i64;
+    let mut is_float = false;
+    if bytes.get(pos) == Some(&b'.') {
+        let frac_start = pos + 1;
+        pos = frac_start;
+        if int_is_zero {
+            while bytes.get(pos) == Some(&b'0') {
+                pos += 1;
+            }
+        }
+        let sig_start = pos;
+        pos = scan_digits(bytes, pos, &mut significand);
+        if pos == frac_start {
+            return None;
+        }
+        significant += pos - sig_start;
+        exponent = -((pos - frac_start) as i64);
+        is_float = true;
+    }
+    let mut saturated = false;
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        let negative_exponent = bytes.get(pos) == Some(&b'-');
+        if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        let digits_start = pos;
+        let mut explicit = 0i64;
+        while let Some(digit) = bytes.get(pos).map(|b| b.wrapping_sub(b'0')) {
+            if digit > 9 {
+                break;
+            }
+            // Stop growing well before overflow; a saturated exponent
+            // is left to std.
+            if explicit < 0x10000 {
+                explicit = 10 * explicit + i64::from(digit);
+            }
+            pos += 1;
+        }
+        if pos == digits_start {
+            return None;
+        }
+        saturated = explicit >= 0x10000;
+        exponent += if negative_exponent {
+            -explicit
+        } else {
+            explicit
+        };
+        is_float = true;
+    }
+    if !is_float {
+        return None;
+    }
+    let magnitude = if significant > 19 || saturated {
+        None
+    } else {
+        decimal_to_f64(significand, exponent)
+    };
+    match magnitude {
+        Some(v) => Some((if negative { -v } else { v }, pos)),
+        // The token is ASCII by construction.
+        None => std::str::from_utf8(&bytes[..pos])
+            .ok()?
+            .parse()
+            .ok()
+            .map(|v| (v, pos)),
+    }
+}
+
+/// Appends the decimal digits starting at `pos` to `significand`
+/// (wrapping; the caller counts digits) and returns the position after
+/// them. Eight bytes that are all digits are taken in one step.
+#[inline]
+fn scan_digits(bytes: &[u8], mut pos: usize, significand: &mut u64) -> usize {
+    while let Some(chunk) = bytes.get(pos..pos + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        if !is_eight_digits(word) {
+            break;
+        }
+        *significand = significand
+            .wrapping_mul(100_000_000)
+            .wrapping_add(eight_digits(word));
+        pos += 8;
+    }
+    while let Some(digit) = bytes.get(pos).map(|b| b.wrapping_sub(b'0')) {
+        if digit > 9 {
+            break;
+        }
+        *significand = significand.wrapping_mul(10).wrapping_add(u64::from(digit));
+        pos += 1;
+    }
+    pos
+}
+
+/// Whether all eight bytes of a little-endian word are ASCII digits:
+/// adding `0x46` keeps a byte below `0x80` only if it is at most `'9'`,
+/// and subtracting `0x30` does only if it is at least `'0'`.
+fn is_eight_digits(word: u64) -> bool {
+    let above = word.wrapping_add(0x4646_4646_4646_4646);
+    let below = word.wrapping_sub(0x3030_3030_3030_3030);
+    (above | below) & 0x8080_8080_8080_8080 == 0
+}
+
+/// The value of eight ASCII digits read as a little-endian word (the
+/// first digit in the lowest byte): pairs, then fours, then all eight,
+/// in three multiplications.
+fn eight_digits(word: u64) -> u64 {
+    const MASK: u64 = 0x0000_00ff_0000_00ff;
+    const MUL_HIGH: u64 = 0x000f_4240_0000_0064; // 10^6 << 32 | 100
+    const MUL_LOW: u64 = 0x0000_2710_0000_0001; // 10^4 << 32 | 1
+    let v = word - 0x3030_3030_3030_3030;
+    let pairs = v * 10 + (v >> 8);
+    let high = (pairs & MASK).wrapping_mul(MUL_HIGH);
+    let low = ((pairs >> 16) & MASK).wrapping_mul(MUL_LOW);
+    u64::from((high.wrapping_add(low) >> 32) as u32)
+}
+
+/// `w × 10^q` rounded to the nearest `f64`, ties to even, for a
+/// significand of at most 19 digits, by Eisel–Lemire; `None` when the
+/// 128-bit product cannot decide the rounding.
+#[inline]
+fn decimal_to_f64(w: u64, q: i64) -> Option<f64> {
+    if w == 0 || q < POW10_MIN {
+        return Some(0.0);
+    }
+    if q > POW10_MAX {
+        return Some(f64::INFINITY);
+    }
+    // Normalise w so its top bit is set; the product's top 55 bits then
+    // hold the 53-bit mantissa, a rounding bit and a possible leading
+    // zero.
+    let lz = w.leading_zeros();
+    let w = w << lz;
+    let pow5 = &POW5_128[(q - POW10_MIN) as usize];
+    let mut product = u128::from(w) * u128::from(pow5[1]);
+    // The table's low word matters only when the nine bits below those
+    // 55 are all ones, where it may carry into them.
+    if (product >> 64) as u64 & 0x1ff == 0x1ff {
+        product += (u128::from(w) * u128::from(pow5[0])) >> 64;
+    }
+    let (hi, lo) = ((product >> 64) as u64, product as u64);
+    // An all-ones low word may be short of a carry that would move the
+    // rounding; for -27 ≤ q ≤ 55 it cannot be (Lemire, §8 and §9.1).
+    if lo == u64::MAX && !(-27..=55).contains(&q) {
+        return None;
+    }
+    let upper_bit = (hi >> 63) as i32;
+    let shift = upper_bit + 64 - MANTISSA_BITS as i32 - 3;
+    let mut mantissa = hi >> shift;
+    // floor(q × log2(10)) + 63, exact over the table's range.
+    let log2 = ((q as i32).wrapping_mul(152_170 + 65_536) >> 16) + 63;
+    let mut biased = log2 + upper_bit - lz as i32 + EXPONENT_BIAS;
+    if biased <= 0 {
+        // Subnormal, or zero once shifted 64 or more bits down.
+        if 1 - biased >= 64 {
+            return Some(0.0);
+        }
+        mantissa >>= 1 - biased;
+        mantissa += mantissa & 1;
+        mantissa >>= 1;
+        // Rounding up into bit 52 gives the smallest normal.
+        let exponent = u64::from(mantissa >= 1 << MANTISSA_BITS);
+        return Some(f64::from_bits(mantissa | exponent << MANTISSA_BITS));
+    }
+    // An exact halfway case (nothing below the rounding bit, which only
+    // happens for -4 ≤ q ≤ 23) rounds to even, not up.
+    if lo <= 1 && (-4..=23).contains(&q) && mantissa & 3 == 1 && mantissa << shift == hi {
+        mantissa &= !1;
+    }
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if mantissa >= 2 << MANTISSA_BITS {
+        mantissa = 1 << MANTISSA_BITS;
+        biased += 1;
+    }
+    mantissa &= !(1 << MANTISSA_BITS);
+    if biased >= 0x7ff {
+        return Some(f64::INFINITY);
+    }
+    Some(f64::from_bits(mantissa | (biased as u64) << MANTISSA_BITS))
+}
+
+// ---------------------------------------------------------------------
 // Compile-time tables: a little-endian 1024-bit unsigned integer.
 // ---------------------------------------------------------------------
 
@@ -338,6 +576,39 @@ const fn pow5_table() -> [[u64; 2]; POW5_TABLE_LEN] {
             big_shr_u128(&pow5, 0) << (-shift) as u32
         });
         big_mul_small(&mut pow5, 5);
+        i += 1;
+    }
+    table
+}
+
+const fn pow5_128_table() -> [[u64; 2]; POW5_128_LEN] {
+    const TOP: u32 = 64 * LIMBS as u32 - 1;
+    let mut table = [[0u64; 2]; POW5_128_LEN];
+    // q ≥ 0: the top 128 bits of 5^q.
+    let mut pow5: Big = [0; LIMBS];
+    pow5[0] = 1;
+    let mut q = 0;
+    while q <= POW10_MAX {
+        let bits = pow5bits(q as i32) as u32;
+        table[(q - POW10_MIN) as usize] = split(if bits >= 128 {
+            big_shr_u128(&pow5, bits - 128)
+        } else {
+            big_shr_u128(&pow5, 0) << (128 - bits)
+        });
+        big_mul_small(&mut pow5, 5);
+        q += 1;
+    }
+    // q = -i < 0: floor(2^(b + 127) / 5^i) with b the bit length of
+    // 5^i, which lies in [2^127, 2^128), plus one for i ≤ 27. The
+    // quotient comes from floor(2^TOP / 5^i) as in `pow5_inv_table`.
+    let mut quotient: Big = [0; LIMBS];
+    quotient[LIMBS - 1] = 1 << 63;
+    let mut i = 1;
+    while i <= -POW10_MIN {
+        big_div_small(&mut quotient, 5);
+        let j = (pow5bits(i as i32) + 127) as u32;
+        let entry = big_shr_u128(&quotient, TOP - j) + (i <= 27) as u128;
+        table[(-i - POW10_MIN) as usize] = split(entry);
         i += 1;
     }
     table
@@ -605,5 +876,292 @@ mod tests {
             assert!(mul_u128(&pow5, entry - 1) <= two_j, "inv[{i}] too large");
             assert!(two_j < mul_u128(&pow5, entry), "inv[{i}] too small");
         }
+    }
+    /// Little-endian `x × 2^s`.
+    fn shl(x: &[u32], s: usize) -> Vec<u32> {
+        let mut out = vec![0u32; s / 32];
+        let mut carry = 0u32;
+        for &limb in x {
+            let wide = u64::from(limb) << (s % 32);
+            out.push(wide as u32 | carry);
+            carry = (wide >> 32) as u32;
+        }
+        out.push(carry);
+        out
+    }
+
+    /// Little-endian `a + b`.
+    fn plus(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut carry = 0u64;
+        for k in 0..a.len().max(b.len()) + 1 {
+            let t = u64::from(a.get(k).copied().unwrap_or(0))
+                + u64::from(b.get(k).copied().unwrap_or(0))
+                + carry;
+            out.push(t as u32);
+            carry = t >> 32;
+        }
+        out
+    }
+
+    #[test]
+    fn reader_table_matches_an_independent_bignum() {
+        // The first and last entries as published with fast_float and
+        // in std's `dec2flt` table, 5^-342 and 5^308.
+        assert_eq!(POW5_128[0], [0x113f_aa29_06a1_3b3f, 0xeef4_53d6_923b_d65a]);
+        assert_eq!(
+            POW5_128[POW5_128_LEN - 1],
+            [0x570f_09ea_a7ea_7648, 0x8e67_9c2f_5e44_ff8f]
+        );
+        for (index, &entry) in POW5_128.iter().enumerate() {
+            let q = index as i64 + POW10_MIN;
+            assert!(entry[1] >> 63 == 1, "entry for 5^{q} not normalised");
+            let entry = joined(entry);
+            let pow5 = pow5_big(q.unsigned_abs() as usize);
+            let bits = bit_len(&pow5);
+            if q >= 0 {
+                // The top 128 bits of 5^q:
+                // entry × 2^down ≤ 5^q × 2^up < (entry + 1) × 2^down.
+                let (up, down) = (128usize.saturating_sub(bits), bits.saturating_sub(128));
+                let scaled = mul_u128(&pow5, 1 << up);
+                assert!(
+                    mul_u128(&pow2_big(down), entry) <= scaled,
+                    "5^{q} too large"
+                );
+                assert!(
+                    scaled < mul_u128(&pow2_big(down), entry + 1),
+                    "5^{q} too small"
+                );
+            } else if q >= -27 {
+                // entry - 1 = floor(2^(bits + 127) / 5^-q).
+                let two_j = nat(pow2_big(bits + 127));
+                assert!(mul_u128(&pow5, entry - 1) <= two_j, "5^{q} too large");
+                assert!(two_j < mul_u128(&pow5, entry), "5^{q} too small");
+            } else {
+                // fast_float's definition: c = floor(2^b / 5^-q) + 1 with
+                // b = 2 × bits + 128, halved until below 2^128, which is
+                // s = bits + 1 halvings. With p = 5^-q,
+                // entry × 2^s ≤ c < (entry + 1) × 2^s is
+                // entry × p × 2^s ≤ 2^b + p < (entry + 1) × p × 2^s.
+                let b = 2 * bits + 128;
+                let scaled_p = shl(&pow5, bits + 1);
+                let bound = nat(plus(&pow2_big(b), &pow5));
+                assert!(mul_u128(&scaled_p, entry) <= bound, "5^{q} too large");
+                assert!(bound < mul_u128(&scaled_p, entry + 1), "5^{q} too small");
+            }
+        }
+    }
+
+    /// `read_json` over the whole of `token`.
+    fn read(token: &str) -> Option<f64> {
+        read_json(token.as_bytes()).map(|(v, len)| {
+            assert_eq!(len, token.len(), "{token} read in full");
+            v
+        })
+    }
+
+    /// Counts the tokens whose value differs from `str::parse`'s by a
+    /// single bit, or that the reader refuses, printing the first few.
+    fn parse_mismatches(tokens: impl Iterator<Item = String>) -> usize {
+        let mut bad = 0;
+        for token in tokens {
+            let std: f64 = token.parse().expect("valid literal");
+            let ours = read(&token);
+            if ours.map(f64::to_bits) != Some(std.to_bits()) {
+                if bad < 10 {
+                    eprintln!("{token}: ours {ours:?} std {std:?}");
+                }
+                bad += 1;
+            }
+        }
+        bad
+    }
+
+    /// The JSON token and the `{:e}` text of each finite value.
+    fn printed(values: impl Iterator<Item = f64>) -> impl Iterator<Item = String> {
+        values.filter(|v| v.is_finite()).flat_map(|v| {
+            let mut json = Vec::new();
+            write_json(&mut json, v);
+            [String::from_utf8(json).expect("ASCII"), format!("{v:e}")]
+        })
+    }
+
+    /// Strict-grammar tokens with 1–25 significant digits from a seeded
+    /// stream: the point anywhere in the digits or in front of up to
+    /// nine leading zeros, an exponent in -360..=330 when required and
+    /// on every other token besides, and either sign.
+    fn decimal_tokens(seed: u64, n: u64) -> impl Iterator<Item = String> {
+        let mut words = bit_patterns(seed, u64::MAX).map(f64::to_bits);
+        (0..n).map(move |_| {
+            let mut next = |m: u64| words.next().expect("endless") % m;
+            let len = 1 + next(25) as usize;
+            let digits: String = (0..len)
+                .map(|k| char::from(b'0' + if k == 0 { 1 + next(9) } else { next(10) } as u8))
+                .collect();
+            let sign = if next(2) == 1 { "-" } else { "" };
+            let point = next(len as u64 + 10) as usize;
+            let mut token = if point == 0 {
+                format!("{sign}{digits}")
+            } else if point <= len {
+                let (whole, fraction) = digits.split_at(len - point + 1);
+                if fraction.is_empty() {
+                    format!("{sign}{whole}")
+                } else {
+                    format!("{sign}{whole}.{fraction}")
+                }
+            } else {
+                format!("{sign}0.{}{digits}", "0".repeat(point - len - 1))
+            };
+            if !token.contains('.') || next(2) == 1 {
+                let exponent = next(691) as i64 - 360;
+                let marker = ["e", "E", "e+"][next(3) as usize];
+                token += &if exponent < 0 {
+                    format!("e{exponent}")
+                } else {
+                    format!("{marker}{exponent}")
+                };
+            }
+            token
+        })
+    }
+
+    #[test]
+    fn reads_boundary_tokens_like_std() {
+        let corpus = [
+            "0.0",
+            "-0.0",
+            "0e0",
+            "-0e-5",
+            "1.0",
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "-1e-400",
+            "4.9e-324",
+            "5e-324",
+            "2.4703282292062327e-324",
+            "2.4703282292062328e-324",
+            "2.2250738585072011e-308",
+            "2.2250738585072014e-308",
+            "2.225073858507201e-308",
+            "1.7976931348623157e308",
+            "1.7976931348623158e308",
+            "1.7976931348623159e308",
+            "9007199254740993.0",
+            "9007199254740992.5",
+            "9007199254740993.00000000000000001",
+            "1099514114116857.25",
+            "0.1",
+            "0.30000000000000004",
+            "0.000000000000000000000000000000000000000000123",
+            "0.0000000000000000000001234567890123456789",
+            "0.00000000000000000000012345678901234567891",
+            "1234567890123456789.0",
+            "12345678901234567890.0",
+            "1000000000000000000000.0",
+            "123456789012345678901234567890e-10",
+            "1e23",
+            "8.98846567431158e307",
+            "1e-342",
+            "1e-343",
+            "1e308",
+            "1e309",
+            "3e-324",
+            "2e-324",
+            "7.2057594037927933e16",
+            "1.0e99999999999999999999",
+            "1.0e-99999999999999999999",
+            "0.0e99999999999999999999",
+        ];
+        let mut tokens: Vec<String> = corpus.iter().map(|t| t.to_string()).collect();
+        // 10^-20 written with 1 to 400 leading fraction zeros and an
+        // exponent that brings it back.
+        tokens.extend((1..=400).map(|z| format!("0.{}1e{}", "0".repeat(z), z as i64 - 19)));
+        assert_eq!(parse_mismatches(tokens.into_iter()), 0);
+        assert_eq!(read("1e400"), Some(f64::INFINITY));
+        assert_eq!(read("1e-400").map(f64::to_bits), Some(0));
+        assert_eq!(read("-0.0").map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn reads_exact_halfway_ties_like_std() {
+        // (2m + 1) / 2^(k + 1) lies exactly halfway between two doubles
+        // with 53-bit mantissas m and m + 1 scaled by 2^-k, and
+        // (2m + 1) × 2^k between m and m + 1 scaled by 2^(k + 1). Both
+        // are written out exactly; ties must round to even.
+        let tokens = bit_patterns(13, 20_000).flat_map(|r| {
+            let m = (1u64 << 52) | (r.to_bits() >> 12);
+            let odd = 2 * u128::from(m) + 1;
+            let below = (0..5u32).map(move |k| {
+                let scale = 1u128 << (k + 1);
+                let fraction = (odd % scale) * 5u128.pow(k + 1);
+                format!("{}.{fraction:0width$}", odd / scale, width = k as usize + 1)
+            });
+            let above = (0..11u32).map(move |k| format!("{}.0", odd << k));
+            below.chain(above)
+        });
+        assert_eq!(parse_mismatches(tokens), 0);
+    }
+
+    #[test]
+    fn refuses_what_the_grammar_excludes() {
+        for token in [
+            "", "-", "01.5", "-01.5", "00.0", "1.", "1.e5", ".5", "-.5", "1e", "1e+", "1e-", "1E",
+            "+1.0", "NaN", "nan", "inf", "-inf", "infinity", "1", "-0", "0", "123", "-1", "e5",
+            "- 1.0", "null", "0x1p3",
+        ] {
+            assert_eq!(read_json(token.as_bytes()), None, "{token:?}");
+        }
+        // A token ends where the grammar does; the rest is the caller's.
+        for (text, value, len) in [
+            ("1.5.5", 1.5, 3),
+            ("1.5e3e3", 1500.0, 5),
+            ("2.5,1.0", 2.5, 3),
+            ("-0.5]", -0.5, 4),
+            ("1.0-2", 1.0, 3),
+            ("3e2.5", 300.0, 3),
+            ("12345678.125x", 12_345_678.125, 12),
+        ] {
+            assert_eq!(read_json(text.as_bytes()), Some((value, len)), "{text}");
+        }
+    }
+
+    #[test]
+    fn eight_digit_steps() {
+        let fives = u64::from_le_bytes(*b"55555555");
+        for k in 0..8 {
+            for byte in 0..=255u8 {
+                let word = fives & !(0xff << (8 * k)) | u64::from(byte) << (8 * k);
+                assert_eq!(
+                    is_eight_digits(word),
+                    byte.is_ascii_digit(),
+                    "{byte:#x} at {k}"
+                );
+            }
+        }
+        for n in bit_patterns(5, 10_000).map(|r| r.to_bits() % 100_000_000) {
+            let text = format!("{n:08}");
+            let word = u64::from_le_bytes(text.as_bytes().try_into().expect("eight"));
+            assert_eq!(eight_digits(word), n);
+        }
+    }
+
+    #[test]
+    fn reads_like_std() {
+        let n = if cfg!(debug_assertions) {
+            1_000_000
+        } else {
+            10_000_000
+        };
+        assert_eq!(parse_mismatches(printed(bit_patterns(2, n))), 0);
+        assert_eq!(parse_mismatches(decimal_tokens(4, n)), 0);
+    }
+
+    #[test]
+    #[ignore = "soak: 10^9 patterns, run with --release -- --ignored"]
+    fn reads_like_std_soak() {
+        let n = 1_000_000_000;
+        assert_eq!(parse_mismatches(printed(bit_patterns(0xfeed, n))), 0);
+        assert_eq!(parse_mismatches(decimal_tokens(0xbeef, n)), 0);
     }
 }
