@@ -1,15 +1,19 @@
 //! Micro-benchmarks of the [`rejuv_sim::EventQueue`] hot path:
-//! schedule/pop throughput with and without pending cancellations, and
-//! the cancel operation itself.
+//! schedule/pop throughput with and without pending cancellations, the
+//! cancel operation itself, and an [`rejuv_sim::Engine`] driven the way
+//! the e-commerce model drives it.
 //!
-//! The DES loop performs exactly one schedule and one pop per event, so
-//! these numbers bound the simulator's event overhead. The
-//! `schedule_pop_clean` case exercises the fast path (no cancellation
-//! tombstones in the heap); `schedule_cancel_pop` forces the tombstone
-//! slow path on half the events.
+//! The `schedule_pop_clean` case exercises the fast path (no
+//! cancellation tombstones in the heap); `schedule_cancel_pop` forces
+//! the tombstone slow path on half the events; `schedule_cancel` grows
+//! linearly in the event count only while a cancel is O(1), so it
+//! guards against a cancel that scans the heap. `model_shaped` is the
+//! §3 model's mix: an arrival source in the engine's slot, at most 16
+//! completions in the heap and ~5 % of them cancelled and rescheduled
+//! (a GC pause).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rejuv_sim::{EventQueue, SimTime};
+use rejuv_sim::{Engine, EventId, EventQueue, SimTime};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random event times (an LCG; no RNG dependency).
@@ -107,7 +111,52 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     });
 
+    // The e-commerce model's event mix. Each arrival re-arms the source
+    // slot and takes a free CPU if there is one (16 CPUs, so at most 17
+    // live events); one arrival in twenty also delays a busy CPU's
+    // completion by cancelling and rescheduling it.
+    group.bench_function("model_shaped", |b| {
+        b.iter(|| {
+            let mut engine = Engine::new();
+            let mut cpus: [Option<EventId>; 16] = [None; 16];
+            let mut draws = ts.iter().cycle().map(|t| t.as_secs() / 1_000.0);
+            let mut delay = |mean: f64| SimTime::from_secs(draws.next().expect("cycle") * mean);
+            engine.schedule_source_in(delay(0.6), Ev::Arrival);
+            let mut completed = 0usize;
+            for _ in 0..N {
+                match engine.next_event().expect("the source is always armed").1 {
+                    Ev::Arrival => {
+                        engine.schedule_source_in(delay(0.6), Ev::Arrival);
+                        let u = delay(1.0).as_secs();
+                        if let Some(cpu) = cpus.iter().position(Option::is_none) {
+                            cpus[cpu] = Some(engine.schedule_in(delay(10.0), Ev::Done(cpu)));
+                        }
+                        if u < 0.05 {
+                            let cpu = (u * 320.0) as usize;
+                            if let Some(id) = cpus[cpu] {
+                                engine.cancel(id);
+                                cpus[cpu] = Some(engine.schedule_in(delay(20.0), Ev::Done(cpu)));
+                            }
+                        }
+                    }
+                    Ev::Done(cpu) => {
+                        cpus[cpu] = None;
+                        completed += 1;
+                    }
+                }
+            }
+            black_box((completed, engine.pending()))
+        });
+    });
+
     group.finish();
+}
+
+/// The model-shaped case's events.
+#[derive(Clone, Copy)]
+enum Ev {
+    Arrival,
+    Done(usize),
 }
 
 criterion_group!(benches, bench_event_queue);

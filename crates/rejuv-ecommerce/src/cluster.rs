@@ -21,7 +21,7 @@ use rejuv_core::RejuvenationDetector;
 use rejuv_sim::{Engine, EventId, RngStreams, SimTime};
 use rejuv_stats::Exponential;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// How the load balancer picks a host for each arriving transaction.
@@ -51,6 +51,7 @@ enum Event {
 
 #[derive(Debug, Clone, Copy)]
 struct RunningThread {
+    id: u64,
     arrival_time: SimTime,
     completion_event: EventId,
     completion_time: SimTime,
@@ -59,7 +60,9 @@ struct RunningThread {
 /// Per-host state: the §3 model minus the arrival process.
 struct Host {
     queue: VecDeque<(u64, SimTime)>,
-    running: HashMap<u64, RunningThread>,
+    /// The threads holding a CPU, in ascending id order (ids grow with
+    /// arrival and the queue is FCFS).
+    running: Vec<RunningThread>,
     heap_used_mb: f64,
     gc_end_time: Option<SimTime>,
     gc_end_event: Option<EventId>,
@@ -74,7 +77,7 @@ impl Host {
     fn new(detector: Option<Box<dyn RejuvenationDetector>>) -> Self {
         Host {
             queue: VecDeque::new(),
-            running: HashMap::new(),
+            running: Vec::new(),
             heap_used_mb: 0.0,
             gc_end_time: None,
             gc_end_event: None,
@@ -274,9 +277,7 @@ impl ClusterSystem {
         let rejected_before = self.rejected_no_host;
 
         if self.engine.pending() == 0 {
-            let delay = self.arrival_dist.sample(&mut self.arrival_rng);
-            self.engine
-                .schedule_in(SimTime::from_secs(delay), Event::Arrival);
+            self.schedule_arrival();
         }
 
         while metrics.total() + (self.rejected_no_host - rejected_before) < transactions {
@@ -329,10 +330,15 @@ impl ClusterSystem {
         }
     }
 
-    fn on_arrival(&mut self) {
+    /// Arms the engine's source slot with the next balancer arrival.
+    fn schedule_arrival(&mut self) {
         let delay = self.arrival_dist.sample(&mut self.arrival_rng);
         self.engine
-            .schedule_in(SimTime::from_secs(delay), Event::Arrival);
+            .schedule_source_in(SimTime::from_secs(delay), Event::Arrival);
+    }
+
+    fn on_arrival(&mut self) {
+        self.schedule_arrival();
 
         if let Some(profile) = &self.profile {
             let now = self.engine.now().as_secs();
@@ -428,14 +434,14 @@ impl ClusterSystem {
         let completion_event = self
             .engine
             .schedule_at(completion_time, Event::Completion { host, thread: id });
-        self.hosts[host].running.insert(
+        let running = &mut self.hosts[host].running;
+        debug_assert!(running.last().is_none_or(|last| last.id < id));
+        running.push(RunningThread {
             id,
-            RunningThread {
-                arrival_time,
-                completion_event,
-                completion_time,
-            },
-        );
+            arrival_time,
+            completion_event,
+            completion_time,
+        });
 
         if let Some(mem) = self.host_config.memory().copied() {
             self.hosts[host].heap_used_mb += mem.alloc_mb;
@@ -460,21 +466,19 @@ impl ClusterSystem {
         self.hosts[host].gc_end_event =
             Some(self.engine.schedule_at(gc_end, Event::GcEnd { host }));
 
+        // Delay every running thread by the pause, rescheduling in
+        // ascending id order.
         let pause = SimTime::from_secs(pause_secs);
-        let ids: Vec<u64> = self.hosts[host].running.keys().copied().collect();
-        for id in ids {
-            let thread = self.hosts[host].running.get_mut(&id).expect("id from keys");
+        for thread in &mut self.hosts[host].running {
             self.engine.cancel(thread.completion_event);
             thread.completion_time += pause;
-            let completion_time = thread.completion_time;
-            let event = self
-                .engine
-                .schedule_at(completion_time, Event::Completion { host, thread: id });
-            self.hosts[host]
-                .running
-                .get_mut(&id)
-                .expect("id from keys")
-                .completion_event = event;
+            thread.completion_event = self.engine.schedule_at(
+                thread.completion_time,
+                Event::Completion {
+                    host,
+                    thread: thread.id,
+                },
+            );
         }
     }
 
@@ -496,9 +500,11 @@ impl ClusterSystem {
 
     fn on_completion(&mut self, host: usize, thread: u64, metrics: &mut MetricsCollector) {
         let before = self.hosts[host].active_threads();
-        let Some(t) = self.hosts[host].running.remove(&thread) else {
+        let running = &mut self.hosts[host].running;
+        let Some(index) = running.iter().position(|t| t.id == thread) else {
             return;
         };
+        let t = running.remove(index);
         self.note_active_transition(host, before);
         let now = self.engine.now();
         let response_time = (now - t.arrival_time).as_secs();
@@ -520,7 +526,7 @@ impl ClusterSystem {
         metrics.rejuvenation_count += 1;
         let before = h.active_threads();
         metrics.lost += before as u64;
-        for (_, thread) in h.running.drain() {
+        for thread in h.running.drain(..) {
             self.engine.cancel(thread.completion_event);
         }
         h.queue.clear();

@@ -326,22 +326,34 @@ impl Scenario {
         });
         // Wait until the backlog is drained and a worker has actually
         // parked (covers queue.wait-park), bailing early on a crash.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let backlog: usize = senders.iter().map(|s| s.backlog()).sum();
-            let parks = slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map(|c| c.parks())
-                .unwrap_or(0);
-            if (backlog == 0 && parks >= 1)
-                || failpoints::fired().is_some()
-                || Instant::now() > deadline
-            {
-                break;
+        let settle = || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let backlog: usize = senders.iter().map(|s| s.backlog()).sum();
+                let parks = slot
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .as_ref()
+                    .map(|c| c.parks())
+                    .unwrap_or(0);
+                if (backlog == 0 && parks >= 1)
+                    || failpoints::fired().is_some()
+                    || Instant::now() > deadline
+                {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(2));
             }
-            std::thread::sleep(Duration::from_millis(2));
+        };
+        settle();
+        // The wave may have landed entirely on non-empty queues (a busy
+        // box can run the producers before any worker drains). With
+        // every queue now empty and a worker parked, one more sample is
+        // an empty→non-empty push, so `queue.notify-work` is reached on
+        // every run whatever the interleaving above.
+        if failpoints::fired().is_none() {
+            senders[0].send(5.0);
+            settle();
         }
         let consumer = slot
             .lock()

@@ -322,8 +322,8 @@ impl<'a> BatchLine<'a> {
         self.eat(tag).then_some(())
     }
 
-    /// A run of decimal digits as a `u64`; `None` if it is empty or
-    /// overflows.
+    /// A run of decimal digits as a `u64`; `None` if it is empty,
+    /// overflows or has a leading zero (which JSON forbids).
     fn unsigned(&mut self) -> Option<u64> {
         let start = self.pos;
         let mut n = 0u64;
@@ -331,7 +331,8 @@ impl<'a> BatchLine<'a> {
             n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
             self.pos += 1;
         }
-        (self.pos > start).then_some(n)
+        let leading_zero = self.pos - start > 1 && self.bytes[start] == b'0';
+        (self.pos > start && !leading_zero).then_some(n)
     }
 
     /// A JSON array of float tokens (the strict grammar of

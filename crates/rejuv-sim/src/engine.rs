@@ -1,5 +1,6 @@
 //! The simulation engine: clock plus event queue plus run loop.
 
+use crate::event::{key, key_time};
 use crate::{EventId, EventQueue, SimTime};
 use std::fmt;
 
@@ -12,6 +13,13 @@ use std::fmt;
 ///   payload (what `rejuv-ecommerce` does), or
 /// * **push** — call [`Engine::run`] with a handler closure and an event
 ///   budget.
+///
+/// Besides the queue, the engine keeps one *source slot* for a
+/// self-rescheduling event stream such as a Poisson arrival process,
+/// which always has exactly one event pending (see
+/// [`Engine::schedule_source_in`]). Keeping that event out of the heap
+/// halves the heap traffic of an arrival-driven model without changing
+/// the delivery order.
 ///
 /// # Example
 ///
@@ -31,6 +39,8 @@ use std::fmt;
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
+    /// The source slot's event and its queue key.
+    source: Option<(u128, E)>,
     delivered: u64,
 }
 
@@ -40,6 +50,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            source: None,
             delivered: 0,
         }
     }
@@ -54,9 +65,9 @@ impl<E> Engine<E> {
         self.delivered
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the source slot's included.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + usize::from(self.source.is_some())
     }
 
     /// Schedules `payload` at the absolute time `at`.
@@ -80,6 +91,23 @@ impl<E> Engine<E> {
         self.queue.schedule(self.now + delay, payload)
     }
 
+    /// Schedules `payload` after `delay` into the source slot.
+    ///
+    /// The event takes the next sequence number exactly as
+    /// [`Self::schedule_in`] would, so it is delivered in the same
+    /// `(time, seq)` order, but it cannot be cancelled (only
+    /// [`Self::clear_pending`] discards it). A source re-arms the slot
+    /// when its event is delivered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot already holds an event.
+    pub fn schedule_source_in(&mut self, delay: SimTime, payload: E) {
+        assert!(self.source.is_none(), "the source slot is already armed");
+        let at = self.now + delay;
+        self.source = Some((key(at, self.queue.take_seq()), payload));
+    }
+
     /// Cancels a pending event. Returns `true` if it was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -87,10 +115,19 @@ impl<E> Engine<E> {
 
     /// Delivers the next event, advancing the clock to its timestamp.
     ///
-    /// Returns `None` when the queue is exhausted; the clock then stays at
+    /// Returns `None` when nothing is pending; the clock then stays at
     /// the last delivered event's time.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        let (time, payload) = self.queue.pop()?;
+        let from_source = match &self.source {
+            Some((source, _)) => self.queue.peek_key().is_none_or(|head| *source < head),
+            None => false,
+        };
+        let (time, payload) = if from_source {
+            let (source, payload) = self.source.take().expect("the slot is armed");
+            (key_time(source), payload)
+        } else {
+            self.queue.pop()?
+        };
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.delivered += 1;
@@ -99,10 +136,15 @@ impl<E> Engine<E> {
 
     /// Time of the next pending event, if any, without delivering it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let source = self.source.as_ref().map(|(source, _)| *source);
+        [self.queue.peek_key(), source]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(key_time)
     }
 
-    /// Runs until the queue is empty or `max_events` have been delivered,
+    /// Runs until nothing is pending or `max_events` have been delivered,
     /// passing each event to `handler` together with `&mut self` so the
     /// handler can schedule follow-up events.
     ///
@@ -124,8 +166,8 @@ impl<E> Engine<E> {
         count
     }
 
-    /// Runs until the next event would be after `deadline` (or the queue
-    /// empties), delivering events to `handler`. The clock is left at the
+    /// Runs until the next event would be after `deadline` (or nothing is
+    /// pending), delivering events to `handler`. The clock is left at the
     /// last delivered event, never advanced past `deadline` artificially.
     ///
     /// Returns the number of events delivered.
@@ -145,12 +187,14 @@ impl<E> Engine<E> {
         count
     }
 
-    /// Discards all pending events (the clock is left untouched).
+    /// Discards all pending events, the source slot's included (the
+    /// clock is left untouched).
     ///
     /// This is what a *rejuvenation* does to a system model: every
     /// in-flight activity is abandoned.
     pub fn clear_pending(&mut self) {
         self.queue.clear();
+        self.source = None;
     }
 }
 
@@ -164,7 +208,7 @@ impl<E> fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.pending())
             .field("delivered", &self.delivered)
             .finish()
     }
@@ -287,6 +331,49 @@ mod tests {
         e.clear_pending();
         assert_eq!(e.pending(), 0);
         assert_eq!(e.next_event(), None);
+    }
+
+    #[test]
+    fn source_slot_interleaves_with_the_queue_in_seq_order() {
+        let mut e = Engine::new();
+        e.schedule_at(t(1.0), "queued first");
+        e.schedule_source_in(t(1.0), "source");
+        e.schedule_at(t(1.0), "queued last");
+        e.schedule_at(t(0.5), "early");
+        assert_eq!(e.pending(), 4);
+        assert_eq!(e.peek_time(), Some(t(0.5)));
+        let order: Vec<_> = std::iter::from_fn(|| e.next_event().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["early", "queued first", "source", "queued last"]);
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.delivered(), 4);
+    }
+
+    #[test]
+    fn source_slot_rearms_from_the_handler() {
+        let mut e = Engine::new();
+        e.schedule_source_in(t(1.0), 0u32);
+        e.schedule_at(t(2.5), 100);
+        let mut seen = Vec::new();
+        e.run_until(t(4.0), |eng, ev| {
+            seen.push(ev);
+            if ev < 100 {
+                eng.schedule_source_in(t(1.0), ev + 1);
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 100, 2, 3]);
+        assert_eq!(e.pending(), 1, "the next source event stays armed");
+        assert_eq!(e.peek_time(), Some(t(5.0)));
+        e.clear_pending();
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.next_event(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "already armed")]
+    fn source_slot_holds_one_event() {
+        let mut e = Engine::new();
+        e.schedule_source_in(t(1.0), ());
+        e.schedule_source_in(t(2.0), ());
     }
 
     #[test]

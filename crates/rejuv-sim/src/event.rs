@@ -2,7 +2,7 @@
 
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
@@ -16,15 +16,34 @@ impl fmt::Display for EventId {
     }
 }
 
+/// The delivery order of an event as one integer: the time's bits
+/// above the sequence number. A `SimTime` is finite and non-negative
+/// (and never `-0.0`), and on such values the IEEE bit pattern orders
+/// like the number, so comparing keys compares `(time, seq)`.
+pub(crate) fn key(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_secs().to_bits()) << 64) | u128::from(seq)
+}
+
+/// The time half of a [`key`].
+pub(crate) fn key_time(key: u128) -> SimTime {
+    SimTime::from_key_bits((key >> 64) as u64)
+}
+
+/// The sequence-number half of a [`key`].
+fn key_seq(key: u128) -> u64 {
+    key as u64
+}
+
+/// A heap entry, ordered by its key *reversed* so that `BinaryHeap` (a
+/// max-heap) pops the smallest key first.
 struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+    key: u128,
     payload: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -38,26 +57,24 @@ impl<E> PartialOrd for Scheduled<E> {
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Ties on time break by insertion order (seq), giving deterministic
-        // FIFO behaviour for simultaneous events.
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
+        other.key.cmp(&self.key)
     }
 }
 
 /// A time-ordered queue of events with stable FIFO tie-breaking and
 /// O(log n) lazy cancellation.
 ///
+/// Every event gets the next sequence number, and the heap orders one
+/// `u128` [`key`] per entry, `(time bits, seq)`, so simultaneous events
+/// pop in scheduling order and a comparison is two integer compares.
+///
 /// Cancellation is tracked in a dense per-sequence ledger (a
 /// `VecDeque<bool>` indexed by `seq - base`) instead of a hash set, so
-/// scheduling, cancelling and delivering never hash. A count of
-/// not-yet-collected cancellation tombstones lets [`Self::pop`] and
-/// [`Self::peek_time`] skip the ledger probe entirely on the common
-/// path where nothing is cancelled — the DES hot loop then costs
-/// exactly one heap operation per event. Resolved entries are compacted
-/// off the front of the ledger, keeping it as small as the window of
-/// outstanding sequence numbers.
+/// scheduling, cancelling and delivering never hash. A cancelled event
+/// stays in the heap as a tombstone until it surfaces; while none are
+/// left, [`Self::pop`] and [`Self::peek_time`] skip the ledger probe.
+/// Resolved entries are compacted off the front of the ledger, keeping
+/// it as small as the window of outstanding sequence numbers.
 ///
 /// # Example
 ///
@@ -73,7 +90,7 @@ impl<E> Ord for Scheduled<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    heap: BinaryHeap<Scheduled<E>>,
     /// `pending[seq - base]` is `true` while that event is scheduled but
     /// neither delivered nor cancelled. Entries below `base` are
     /// resolved and compacted away.
@@ -84,7 +101,7 @@ pub struct EventQueue<E> {
     /// Number of `true` entries in `pending`.
     live: usize,
     /// Cancelled events whose tombstones still sit in the heap. While
-    /// zero, every heap entry is live and pop/peek take the fast path.
+    /// zero, every heap entry is live.
     cancelled_in_heap: usize,
 }
 
@@ -106,10 +123,25 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, payload }));
+        self.heap.push(Scheduled {
+            key: key(time, seq),
+            payload,
+        });
         self.pending.push_back(true);
         self.live += 1;
         EventId(seq)
+    }
+
+    /// Takes the next sequence number for an event kept outside the
+    /// heap (the engine's source slot). It is never pending here, so
+    /// cancelling its id returns `false`.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Already resolved in the ledger, which stays dense.
+        self.pending.push_back(false);
+        self.compact_front();
+        seq
     }
 
     /// Cancels a previously scheduled event.
@@ -133,38 +165,22 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.cancelled_in_heap == 0 {
-            // Fast path: no tombstones, the heap head is live by
-            // construction.
-            let Reverse(ev) = self.heap.pop()?;
-            self.mark_delivered(ev.seq);
-            return Some((ev.time, ev.payload));
-        }
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            if self.is_pending(ev.seq) {
-                self.mark_delivered(ev.seq);
-                return Some((ev.time, ev.payload));
-            }
-            // Collected a cancellation tombstone.
-            self.cancelled_in_heap -= 1;
-            if self.cancelled_in_heap == 0 {
-                return self.pop();
-            }
-        }
-        None
+        self.purge_head();
+        let ev = self.heap.pop()?;
+        self.mark_delivered(key_seq(ev.key));
+        Some((key_time(ev.key), ev.payload))
     }
 
     /// Time of the earliest pending (non-cancelled) event without
     /// removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if self.cancelled_in_heap == 0 || self.is_pending(ev.seq) {
-                return Some(ev.time);
-            }
-            self.heap.pop();
-            self.cancelled_in_heap -= 1;
-        }
-        None
+        self.peek_key().map(key_time)
+    }
+
+    /// The [`key`] of the earliest pending event.
+    pub(crate) fn peek_key(&mut self) -> Option<u128> {
+        self.purge_head();
+        self.heap.peek().map(|ev| ev.key)
     }
 
     /// Number of pending events, *excluding* lazily cancelled ones.
@@ -184,6 +200,20 @@ impl<E> EventQueue<E> {
         self.base = self.next_seq;
         self.live = 0;
         self.cancelled_in_heap = 0;
+    }
+
+    /// Pops cancellation tombstones off the top of the heap, so that
+    /// its head, if any, is live.
+    fn purge_head(&mut self) {
+        while self.cancelled_in_heap > 0 {
+            match self.heap.peek() {
+                Some(ev) if !self.is_pending(key_seq(ev.key)) => {
+                    self.heap.pop();
+                    self.cancelled_in_heap -= 1;
+                }
+                _ => return,
+            }
+        }
     }
 
     fn slot_mut(&mut self, seq: u64) -> Option<&mut bool> {

@@ -1,6 +1,6 @@
 //! Simulation time.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -9,7 +9,9 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// `SimTime` is a thin newtype over `f64` that guarantees the value is
 /// finite and non-negative, which in turn makes it totally ordered —
-/// event queues must never see a NaN timestamp.
+/// event queues must never see a NaN timestamp. Zero is always `+0.0`,
+/// so the value's bit pattern orders exactly like the value (the event
+/// queue compares times as integers).
 ///
 /// # Example
 ///
@@ -20,7 +22,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_secs(), 4.0);
 /// assert!(SimTime::ZERO < t);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -33,12 +35,21 @@ impl SimTime {
     ///
     /// Panics if `secs` is negative, NaN, or infinite. Simulation times
     /// come from validated distributions; a bad value here is a model bug
-    /// that must fail fast.
+    /// that must fail fast. `-0.0` is accepted and stored as `+0.0`.
     pub fn from_secs(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
             "simulation time must be finite and non-negative, got {secs}"
         );
+        // `x + 0.0` is `x` for every other value.
+        SimTime(secs + 0.0)
+    }
+
+    /// The time whose `f64` bits are `bits`, as read back from an
+    /// event-queue key built from a valid `SimTime`.
+    pub(crate) fn from_key_bits(bits: u64) -> Self {
+        let secs = f64::from_bits(bits);
+        debug_assert!(secs.is_finite() && secs.is_sign_positive());
         SimTime(secs)
     }
 
@@ -56,6 +67,21 @@ impl SimTime {
 impl Default for SimTime {
     fn default() -> Self {
         SimTime::ZERO
+    }
+}
+
+impl Deserialize for SimTime {
+    /// Deserializes through [`SimTime::from_secs`]'s rules: a negative,
+    /// NaN or infinite value is an error, `-0.0` becomes `+0.0`.
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let secs = f64::from_value(value)?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(SimTime::from_secs(secs))
+        } else {
+            Err(Error::custom(format!(
+                "simulation time must be finite and non-negative, got {secs}"
+            )))
+        }
     }
 }
 
@@ -140,6 +166,28 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn infinite_time_panics() {
         let _ = SimTime::from_secs(f64::INFINITY);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        let t = SimTime::from_secs(-0.0);
+        assert_eq!(t.as_secs().to_bits(), 0.0f64.to_bits());
+        assert_eq!(t, SimTime::ZERO);
+        // Arithmetic cannot bring it back either.
+        assert!((t + SimTime::from_secs(-0.0)).as_secs().is_sign_positive());
+        assert!((t - t).as_secs().is_sign_positive());
+    }
+
+    #[test]
+    fn deserialize_validates() {
+        let t = SimTime::from_value(&Value::F64(2.5)).unwrap();
+        assert_eq!(t, SimTime::from_secs(2.5));
+        assert_eq!(t.to_value(), Value::F64(2.5));
+        let z = SimTime::from_value(&Value::F64(-0.0)).unwrap();
+        assert!(z.as_secs().is_sign_positive());
+        assert!(SimTime::from_value(&Value::F64(-1.0)).is_err());
+        assert!(SimTime::from_value(&Value::F64(f64::INFINITY)).is_err());
+        assert!(SimTime::from_value(&Value::Null).is_err());
     }
 
     #[test]

@@ -394,37 +394,48 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Parses a number with JSON's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: a token with a
+    /// fraction or an exponent is a float (read by [`float::read_json`]),
+    /// one without is an integer. Text JSON forbids, such as `01`, `1.`,
+    /// `.5`, `1e` or a lone `-`, is an error.
     fn parse_number(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         let start = self.pos;
-        let mut is_float = false;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
+        if let Some((value, len)) = float::read_json(&self.bytes[start..]) {
+            self.pos += len;
+            return Ok(Value::F64(value));
         }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        // Not a float token, so a valid number is `-?(0|[1-9][0-9]*)`
+        // followed by none of the bytes that would continue one.
+        let int_start = start + usize::from(self.bytes[start] == b'-');
+        let mut end = int_start;
+        while self.bytes.get(end).is_some_and(u8::is_ascii_digit) {
+            end += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if !is_float {
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Value::I64(v));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
-            }
+        let digits = &self.bytes[int_start..end];
+        let leading_zero = digits.len() > 1 && digits[0] == b'0';
+        let continues = matches!(self.bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if digits.is_empty() || leading_zero || continues {
+            let run = self.bytes[start..]
+                .iter()
+                .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .count();
+            return Err(Error::custom(format!(
+                "invalid number `{}` at byte {start}",
+                String::from_utf8_lossy(&self.bytes[start..start + run])
+            )));
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        let text = std::str::from_utf8(&self.bytes[start..end]).expect("ASCII digits");
+        self.pos = end;
+        let integer = if int_start > start {
+            text.parse::<i64>().ok().map(Value::I64)
+        } else {
+            text.parse::<u64>().ok().map(Value::U64)
+        };
+        // Integers beyond 64 bits read as floats, as in `serde_json`.
+        Ok(integer
+            .unwrap_or_else(|| Value::F64(text.parse().expect("a digit string parses as f64"))))
     }
 }
 
@@ -518,6 +529,38 @@ mod tests {
         let rendered = to_string(&v).unwrap();
         let back: Value = from_str(&rendered).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "[1.]", "[01.5]", "[00]", "[01]", "[-01]", "[-]", "[-.5]", "[.5]", "[+1.0]", "[1e]",
+            "[1.5e+]", "[1E-]", "[1.5.5]", "[1e5e5]", "[1-2]", "[0x1]",
+        ] {
+            let err = from_str::<Value>(bad).expect_err(bad);
+            assert!(!err.to_string().is_empty(), "{bad}");
+        }
+        let cases: [(&str, Value); 12] = [
+            ("0", Value::U64(0)),
+            ("-0", Value::I64(0)),
+            ("10", Value::U64(10)),
+            ("-12", Value::I64(-12)),
+            ("1e5", Value::F64(1e5)),
+            ("1E-2", Value::F64(0.01)),
+            ("-0.0", Value::F64(-0.0)),
+            ("0.5e+1", Value::F64(5.0)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("18446744073709551616", Value::F64(18446744073709551616.0)),
+            ("-9223372036854775808", Value::I64(i64::MIN)),
+            ("-9223372036854775809", Value::F64(-9223372036854775809.0)),
+        ];
+        for (text, expected) in cases {
+            let v: Value = from_str(&format!("[{text}, {text} ]")).unwrap();
+            assert_eq!(v[0], expected, "{text}");
+            assert_eq!(v[1], expected, "{text}");
+        }
+        let err = from_str::<Value>("[1, 01.5]").unwrap_err();
+        assert_eq!(err.to_string(), "invalid number `01.5` at byte 4");
     }
 
     #[test]
