@@ -74,6 +74,55 @@ fn figures_quick_fig16_writes_csv_and_plt() {
     assert!(parsed["figures"]["fig16_response_time"].is_array());
 }
 
+/// FNV-1a 64 over a file's bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The FNV-1a 64 digest of each pinned `figures --quick --ablation
+/// --baselines` artifact: `summary.json` carries every sweep's
+/// per-replication values at full precision, `ablation.csv` the
+/// mechanism ablation and `report.md` the tail masses and the §4.1
+/// autocorrelation study.
+const FIGURE_DIGESTS: [(&str, u64); 3] = [
+    ("summary.json", 0x6a57caa73be1dfc5),
+    ("ablation.csv", 0xfe590c625212bc26),
+    ("report.md", 0x7eada2d6ee47bc20),
+];
+
+/// Pins every figure the quick protocol regenerates, so a change to the
+/// DES core, the models or a detector that moves any figure value fails
+/// here. After an *intentional* change, the failure prints the new
+/// table.
+#[test]
+fn figures_quick_output_is_pinned() {
+    let out = tempdir("figures-pin");
+    let status = Command::new(figures_bin())
+        .args(["--quick", "--ablation", "--baselines", "--out"])
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("figures binary runs");
+    assert!(status.success());
+    let actual: Vec<(&str, u64)> = FIGURE_DIGESTS
+        .iter()
+        .map(|&(name, _)| {
+            let bytes = std::fs::read(Path::new(&out).join(name)).expect("artifact written");
+            (name, fnv1a64(&bytes))
+        })
+        .collect();
+    assert!(
+        actual == FIGURE_DIGESTS,
+        "the figures moved; the current digests are\n{}",
+        actual
+            .iter()
+            .map(|(name, digest)| format!("    ({name:?}, {digest:#x}),\n"))
+            .collect::<String>()
+    );
+}
+
 #[test]
 fn optimize_prints_a_pareto_front() {
     let output = Command::new(optimize_bin())

@@ -1,5 +1,7 @@
 //! Pins the DES output across builds: the exact bits of every
-//! `RunMetrics` field for a handful of Fig. 9 cells and one cluster run.
+//! `RunMetrics` field for a handful of Fig. 9 cells, the model paths
+//! those cells never take (a rate profile, a mid-run rate change, no
+//! detector, a warm-up) and one cluster run per routing policy.
 //!
 //! `determinism.rs` compares worker counts within one build, which
 //! cannot notice a refactor that shifts every figure alike. These
@@ -9,7 +11,7 @@
 
 use rejuv_core::{Sraa, SraaConfig};
 use rejuv_ecommerce::cluster::{ClusterSystem, RoutingPolicy};
-use rejuv_ecommerce::{RunMetrics, Runner, SystemConfig};
+use rejuv_ecommerce::{EcommerceSystem, RateProfile, RunMetrics, Runner, SystemConfig};
 
 /// `RunMetrics` as bits, field by field in declaration order:
 /// `completed, lost, mean_response_time, response_time_std_dev,
@@ -35,11 +37,14 @@ fn bits(m: &RunMetrics) -> Bits {
 /// One line of hex literals per row, ready to paste over a table.
 fn rows<R: AsRef<[u64]>>(rows: &[R]) -> String {
     rows.iter()
-        .map(|row| {
-            let cells: Vec<String> = row.as_ref().iter().map(|v| format!("{v:#x}")).collect();
-            format!("    [{}],\n", cells.join(", "))
-        })
+        .map(|row| format!("    {},\n", hex(row.as_ref())))
         .collect()
+}
+
+/// A row as a bracketed list of hex literals.
+fn hex(row: &[u64]) -> String {
+    let cells: Vec<String> = row.iter().map(|v| format!("{v:#x}")).collect();
+    format!("[{}]", cells.join(", "))
 }
 
 fn sraa(n: usize, k: usize, d: u32) -> SraaConfig {
@@ -97,12 +102,78 @@ fn fig09_cells_are_pinned() {
     );
 }
 
-/// A 3-host cluster with GC, per-host SRAA and 30 s downtime: the
-/// aggregate's bits, then `rejuvenations_per_host`, `gc_per_host` and
-/// `rejected_no_host`.
-fn cluster_run() -> Vec<u64> {
+/// The model paths a Fig. 9 cell never takes, one row each:
+///
+/// 0. a sinusoidal rate profile (Lewis–Shedler thinning) with SRAA and
+///    the event trace on: the bits, then the five `TraceCounters`;
+/// 1. SRAA at load 5, then `set_arrival_rate` to load 10 mid-run: the
+///    bits of both runs;
+/// 2. load 9 with no detector attached;
+/// 3. a Fig. 9 cell (SRAA(3,1,5) at load 10) behind a 1 000-transaction
+///    `Runner::with_warmup`.
+fn model_paths() -> Vec<Vec<u64>> {
+    let at_load = |load: f64| SystemConfig::paper_at_load(load).unwrap();
+    let sraa_box = |n, k, d| Box::new(Sraa::new(sraa(n, k, d)));
+
+    let mut profiled = EcommerceSystem::new(at_load(8.0), 0xF1A7);
+    profiled.set_rate_profile(RateProfile::sinusoidal(1.6, 0.8, 500.0).unwrap());
+    profiled.enable_trace(16);
+    profiled.attach_detector(sraa_box(3, 1, 5));
+    let mut profile_row = bits(&profiled.run(3_000)).to_vec();
+    let c = profiled.trace().expect("trace enabled").counters();
+    profile_row.extend([
+        c.gc_started,
+        c.gc_ended,
+        c.overhead_entered,
+        c.overhead_left,
+        c.rejuvenations,
+    ]);
+
+    let mut shifted = EcommerceSystem::new(at_load(5.0), 0x5A1F);
+    shifted.attach_detector(sraa_box(2, 5, 3));
+    let mut shift_row = bits(&shifted.run(1_000)).to_vec();
+    shifted
+        .set_arrival_rate(at_load(10.0).arrival_rate())
+        .unwrap();
+    shift_row.extend(bits(&shifted.run(2_000)));
+
+    let bare = bits(&EcommerceSystem::new(at_load(9.0), 0xBA5E).run(3_000)).to_vec();
+
+    let config = sraa(3, 1, 5);
+    let factory = move || Some(Box::new(Sraa::new(config)) as _);
+    let warm = Runner::new(1, 2_000, 1).with_warmup(1_000);
+    let warm_row = bits(&warm.replication_metrics(at_load(10.0), 0, &factory, false)).to_vec();
+
+    vec![profile_row, shift_row, bare, warm_row]
+}
+
+#[rustfmt::skip]
+const MODEL_PATHS: [&[u64]; 4] = [
+    &[0xaa1, 0x117, 0x40144ea4e4dca1db, 0x40176ffb055b012d, 0x4050a78c348f0a3c, 0x5, 0xd, 0x409ba92d93286b27, 0x40255da9809776ea, 0x5, 0x2, 0x1, 0x1, 0xd],
+    &[0x3e8, 0x0, 0x40161511b82767f9, 0x4020eb0f6ef1103b, 0x4053a4e1228776c8, 0x3, 0x0, 0x408e84707bda8542, 0x40174cdd2eb12c3d, 0x69f, 0x131, 0x402242753ae98310, 0x402a246a24e56ba6, 0x405518d521c66488, 0x4, 0x3, 0x408e2ff9a230a862, 0x40387637d32cb982],
+    &[0xbb8, 0x0, 0x40716a37e5c9f012, 0x406bf2c7e36290a1, 0x408724d15ed5b01c, 0xa, 0x0, 0x40a2b3174cd9aeaa, 0x4080cdea9aa8d88b],
+    &[0x6b3, 0x11d, 0x40152a75bb6c13e1, 0x4019b3ca26e2640b, 0x40524a90c2da6e70, 0x2, 0x9, 0x408ee4b70f870d30, 0x402e13ab99cf4896],
+];
+
+#[test]
+fn model_paths_are_pinned() {
+    let actual = model_paths();
+    assert!(
+        actual.iter().map(Vec::as_slice).eq(MODEL_PATHS),
+        "the model paths moved; the current table is\n{}",
+        actual
+            .iter()
+            .map(|row| format!("    &{},\n", hex(row)))
+            .collect::<String>()
+    );
+}
+
+/// A 3-host cluster with GC, per-host SRAA and 30 s downtime routed by
+/// `policy`: the aggregate's bits, then `rejuvenations_per_host`,
+/// `gc_per_host` and `rejected_no_host`.
+fn cluster_run(policy: RoutingPolicy) -> Vec<u64> {
     let host = SystemConfig::paper_at_load(1.0).unwrap();
-    let mut cluster = ClusterSystem::new(host, 3, 6.0, RoutingPolicy::LeastActive, 30.0, 0x5EED);
+    let mut cluster = ClusterSystem::new(host, 3, 6.0, policy, 30.0, 0x5EED);
     let config = sraa(2, 5, 3);
     cluster.attach_detectors(|_| Box::new(Sraa::new(config)));
     let m = cluster.run(3_000);
@@ -119,12 +190,30 @@ const CLUSTER: [u64; 16] = [
     0x407f1c26801c4d78, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc5,
 ];
 
+#[rustfmt::skip]
+const CLUSTER_RANDOM: [u64; 16] = [
+    0x85d, 0x355, 0x40234c30095212f2, 0x4030259bd51eff57, 0x40578c7baafe4a9a, 0x6, 0x6,
+    0x407f77655db5d02a, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0x6,
+];
+
+#[rustfmt::skip]
+const CLUSTER_ROUND_ROBIN: [u64; 16] = [
+    0x8c9, 0x22e, 0x401fdf9a2d7b2ad3, 0x4025ef9751a97f83, 0x4054d021b8880eb8, 0x6, 0x6,
+    0x407f0981d23622f3, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc9,
+];
+
 #[test]
 fn cluster_run_is_pinned() {
-    let actual = cluster_run();
-    assert!(
-        actual == CLUSTER,
-        "the cluster run moved; the current values are\n{}",
-        rows(&[actual])
-    );
+    for (policy, pinned) in [
+        (RoutingPolicy::LeastActive, CLUSTER),
+        (RoutingPolicy::Random, CLUSTER_RANDOM),
+        (RoutingPolicy::RoundRobin, CLUSTER_ROUND_ROBIN),
+    ] {
+        let actual = cluster_run(policy);
+        assert!(
+            actual == pinned,
+            "the {policy:?} cluster run moved; the current values are\n{}",
+            rows(&[actual])
+        );
+    }
 }
