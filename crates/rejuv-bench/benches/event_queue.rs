@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the [`rejuv_sim::EventQueue`] hot path:
 //! schedule/pop throughput with and without pending cancellations, the
-//! cancel operation itself, and an [`rejuv_sim::Engine`] driven the way
-//! the e-commerce model drives it.
+//! cancel operation itself, and an [`rejuv_sim::Engine`] driven with a
+//! §3-shaped event mix, the way the cluster model drives it. (The
+//! single-host model keeps its own event calendar; its cost is the
+//! `fig09_cell` group of the `fig09_16_sweeps` bench.)
 //!
 //! The `schedule_pop_clean` case exercises the fast path (no
 //! cancellation tombstones in the heap); `schedule_cancel_pop` forces
 //! the tombstone slow path on half the events; `schedule_cancel` grows
 //! linearly in the event count only while a cancel is O(1), so it
 //! guards against a cancel that scans the heap. `model_shaped` is the
-//! §3 model's mix: an arrival source in the engine's slot, at most 16
+//! §3 event mix: an arrival source in the engine's slot, at most 16
 //! completions in the heap and ~5 % of them cancelled and rescheduled
 //! (a GC pause).
 
@@ -111,10 +113,10 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     });
 
-    // The e-commerce model's event mix. Each arrival re-arms the source
-    // slot and takes a free CPU if there is one (16 CPUs, so at most 17
-    // live events); one arrival in twenty also delays a busy CPU's
-    // completion by cancelling and rescheduling it.
+    // The §3 event mix, as the cluster drives the engine. Each arrival
+    // re-arms the source slot and takes a free CPU if there is one (16
+    // CPUs, so at most 17 live events); one arrival in twenty also
+    // delays a busy CPU's completion by cancelling and rescheduling it.
     group.bench_function("model_shaped", |b| {
         b.iter(|| {
             let mut engine = Engine::new();

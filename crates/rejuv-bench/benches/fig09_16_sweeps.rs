@@ -1,11 +1,13 @@
 //! Sweep benchmarks behind Figs. 9–16: cost of one replicated experiment
-//! point of the e-commerce simulation per detector, and one miniature
-//! full sweep.
+//! point of the e-commerce simulation per detector, one miniature full
+//! sweep, and one Fig. 9 cell split into its per-transaction layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rejuv_bench::{fig16_comparison, sraa_response_time, FIG9_CONFIGS};
 use rejuv_core::{RejuvenationDetector, Sraa, SraaConfig};
 use rejuv_ecommerce::{Runner, SystemConfig};
+use rejuv_sim::RngStreams;
+use rejuv_stats::Exponential;
 use std::hint::black_box;
 
 fn bench_single_point(c: &mut Criterion) {
@@ -58,5 +60,55 @@ fn bench_mini_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_single_point, bench_mini_sweeps);
+/// One Fig. 9 cell (load 10, SRAA(3,1,5), 10 000 transactions, as one
+/// replication of a sweep), the same cell with the detector detached,
+/// and `Exponential::sample` alone, 10 000 draws per iteration. A
+/// transaction makes two draws (its arrival and its service time), so
+/// the rows give a per-transaction budget: draws, detector and the rest
+/// of the model. Without a detector the cell never rejuvenates, so its
+/// running table stays fuller; that row bounds the model without
+/// `observe`, it does not subtract it exactly.
+fn bench_fig09_cell(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fig09_cell");
+    group.sample_size(20);
+    let transactions = 10_000u64;
+    group.throughput(Throughput::Elements(transactions));
+    let cfg = SystemConfig::paper_at_load(10.0).unwrap();
+    let runner = Runner::new(1, transactions, 1);
+    let sraa = SraaConfig::builder(5.0, 5.0)
+        .sample_size(3)
+        .buckets(1)
+        .depth(5)
+        .build()
+        .unwrap();
+    let factory =
+        move || -> Option<Box<dyn RejuvenationDetector>> { Some(Box::new(Sraa::new(sraa))) };
+
+    group.bench_function("sraa_3_1_5", |b| {
+        b.iter(|| black_box(runner.replication_metrics(cfg, 0, &factory, false)));
+    });
+    group.bench_function("no_detector", |b| {
+        b.iter(|| black_box(runner.replication_metrics(cfg, 0, &|| None, false)));
+    });
+
+    let service = Exponential::new(cfg.service_rate()).unwrap();
+    let mut rng = RngStreams::new(1).stream(1);
+    group.bench_function("exponential_sample", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for _ in 0..transactions {
+                sum += service.sample(&mut rng);
+            }
+            black_box(sum)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_single_point,
+    bench_mini_sweeps,
+    bench_fig09_cell
+);
 criterion_main!(benches);

@@ -389,28 +389,28 @@ impl ClusterSystem {
 
     /// Routing decision over available hosts; `None` if all are down.
     fn pick_host(&mut self) -> Option<usize> {
-        let available: Vec<usize> = (0..self.hosts.len())
-            .filter(|&h| self.hosts[h].is_available())
-            .collect();
-        if available.is_empty() {
-            return None;
-        }
-        Some(match self.policy {
+        let hosts = &self.hosts;
+        let mut available = (0..hosts.len()).filter(|&h| hosts[h].is_available());
+        match self.policy {
             RoutingPolicy::RoundRobin => {
+                available.next()?;
                 // Advance the cursor to the next available host.
-                let mut pick = self.rr_next % self.hosts.len();
-                while !self.hosts[pick].is_available() {
-                    pick = (pick + 1) % self.hosts.len();
+                let mut pick = self.rr_next % hosts.len();
+                while !hosts[pick].is_available() {
+                    pick = (pick + 1) % hosts.len();
                 }
                 self.rr_next = pick + 1;
-                pick
+                Some(pick)
             }
-            RoutingPolicy::Random => available[self.routing_rng.random_range(0..available.len())],
-            RoutingPolicy::LeastActive => available
-                .into_iter()
-                .min_by_key(|&h| self.hosts[h].active_threads())
-                .expect("available is non-empty"),
-        })
+            RoutingPolicy::Random => {
+                let count = available.clone().count();
+                if count == 0 {
+                    return None;
+                }
+                available.nth(self.routing_rng.random_range(0..count))
+            }
+            RoutingPolicy::LeastActive => available.min_by_key(|&h| hosts[h].active_threads()),
+        }
     }
 
     fn try_dispatch(&mut self, host: usize) {

@@ -20,12 +20,28 @@ impl fmt::Display for EventId {
 /// above the sequence number. A `SimTime` is finite and non-negative
 /// (and never `-0.0`), and on such values the IEEE bit pattern orders
 /// like the number, so comparing keys compares `(time, seq)`.
-pub(crate) fn key(time: SimTime, seq: u64) -> u128 {
+///
+/// [`EventQueue`] orders its heap by these keys. A model that keeps its
+/// own small event calendar can store them too: with sequence numbers
+/// taken in scheduling order, the smallest key is the event an
+/// [`EventQueue`] would deliver next.
+///
+/// ```
+/// use rejuv_sim::event::{key, key_time};
+/// use rejuv_sim::SimTime;
+///
+/// let late = key(SimTime::from_secs(2.0), 0);
+/// let early = key(SimTime::from_secs(1.0), 1);
+/// let tie = key(SimTime::from_secs(1.0), 2);
+/// assert!(early < tie && tie < late);
+/// assert_eq!(key_time(tie), SimTime::from_secs(1.0));
+/// ```
+pub fn key(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_secs().to_bits()) << 64) | u128::from(seq)
 }
 
 /// The time half of a [`key`].
-pub(crate) fn key_time(key: u128) -> SimTime {
+pub fn key_time(key: u128) -> SimTime {
     SimTime::from_key_bits((key >> 64) as u64)
 }
 
