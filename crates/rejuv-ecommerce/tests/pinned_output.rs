@@ -1,7 +1,8 @@
 //! Pins the DES output across builds: the exact bits of every
 //! `RunMetrics` field for a handful of Fig. 9 cells, the model paths
-//! those cells never take (a rate profile, a mid-run rate change, no
-//! detector, a warm-up) and one cluster run per routing policy.
+//! those cells never take (a rate profile, set from the start or
+//! mid-run, a mid-run rate change, no detector, a warm-up, one CPU, GCs
+//! over a full running table) and one cluster run per routing policy.
 //!
 //! `determinism.rs` compares worker counts within one build, which
 //! cannot notice a refactor that shifts every figure alike. These
@@ -110,7 +111,13 @@ fn fig09_cells_are_pinned() {
 ///    bits of both runs;
 /// 2. load 9 with no detector attached;
 /// 3. a Fig. 9 cell (SRAA(3,1,5) at load 10) behind a 1 000-transaction
-///    `Runner::with_warmup`.
+///    `Runner::with_warmup`;
+/// 4. SRAA at load 8 and a constant rate for 1 000 transactions, then
+///    the sinusoidal profile of row 0 set mid-run: the bits of both runs;
+/// 5. the paper's system cut to one CPU at load 0.7 with no detector,
+///    so every GC delays a one-row running table;
+/// 6. load 10 with no detector for 5 000 transactions, so GCs start
+///    while all 16 CPUs are held.
 fn model_paths() -> Vec<Vec<u64>> {
     let at_load = |load: f64| SystemConfig::paper_at_load(load).unwrap();
     let sraa_box = |n, k, d| Box::new(Sraa::new(sraa(n, k, d)));
@@ -144,15 +151,46 @@ fn model_paths() -> Vec<Vec<u64>> {
     let warm = Runner::new(1, 2_000, 1).with_warmup(1_000);
     let warm_row = bits(&warm.replication_metrics(at_load(10.0), 0, &factory, false)).to_vec();
 
-    vec![profile_row, shift_row, bare, warm_row]
+    let mut reprofiled = EcommerceSystem::new(at_load(8.0), 0x9F0F);
+    reprofiled.attach_detector(sraa_box(3, 1, 5));
+    let mut reprofile_row = bits(&reprofiled.run(1_000)).to_vec();
+    reprofiled.set_rate_profile(RateProfile::sinusoidal(1.6, 0.8, 500.0).unwrap());
+    reprofile_row.extend(bits(&reprofiled.run(2_000)));
+
+    let paper = at_load(0.7);
+    let one_cpu = SystemConfig::new(
+        1,
+        paper.arrival_rate(),
+        paper.service_rate(),
+        paper.kernel_threshold(),
+        paper.kernel_factor(),
+        paper.memory().copied(),
+    )
+    .unwrap();
+    let single = bits(&EcommerceSystem::new(one_cpu, 0x1C9).run(3_000)).to_vec();
+
+    let full = bits(&EcommerceSystem::new(at_load(10.0), 0xF011).run(5_000)).to_vec();
+
+    vec![
+        profile_row,
+        shift_row,
+        bare,
+        warm_row,
+        reprofile_row,
+        single,
+        full,
+    ]
 }
 
 #[rustfmt::skip]
-const MODEL_PATHS: [&[u64]; 4] = [
+const MODEL_PATHS: [&[u64]; 7] = [
     &[0xaa1, 0x117, 0x40144ea4e4dca1db, 0x40176ffb055b012d, 0x4050a78c348f0a3c, 0x5, 0xd, 0x409ba92d93286b27, 0x40255da9809776ea, 0x5, 0x2, 0x1, 0x1, 0xd],
     &[0x3e8, 0x0, 0x40161511b82767f9, 0x4020eb0f6ef1103b, 0x4053a4e1228776c8, 0x3, 0x0, 0x408e84707bda8542, 0x40174cdd2eb12c3d, 0x69f, 0x131, 0x402242753ae98310, 0x402a246a24e56ba6, 0x405518d521c66488, 0x4, 0x3, 0x408e2ff9a230a862, 0x40387637d32cb982],
     &[0xbb8, 0x0, 0x40716a37e5c9f012, 0x406bf2c7e36290a1, 0x408724d15ed5b01c, 0xa, 0x0, 0x40a2b3174cd9aeaa, 0x4080cdea9aa8d88b],
     &[0x6b3, 0x11d, 0x40152a75bb6c13e1, 0x4019b3ca26e2640b, 0x40524a90c2da6e70, 0x2, 0x9, 0x408ee4b70f870d30, 0x402e13ab99cf4896],
+    &[0x39c, 0x4c, 0x4013c96b0520f1b9, 0x4013cc0dc6e7885d, 0x40426b8f521f6c7e, 0x2, 0x4, 0x4083bc12f955709e, 0x40216ff4297e28f0, 0x6bd, 0x113, 0x4015253a9f6e3fb0, 0x401d105a167e9570, 0x40528b7c09103470, 0x4, 0x6, 0x4093ef6fb80f4b30, 0x4028fd943b2a5fa9],
+    &[0xbb8, 0x0, 0x403507cf71256e10, 0x40376bbf36452cb7, 0x4063217033b44a80, 0xa, 0x0, 0x40d4f7f00c6bbe28, 0x400781bdd94396c5],
+    &[0x1388, 0x0, 0x408735dccacff389, 0x407dd10bfe0a7757, 0x409968634d9f6a4a, 0x11, 0x0, 0x40b01b5d98ea5ff2, 0x4097bc03fd2aa3c7],
 ];
 
 #[test]
