@@ -36,17 +36,21 @@ impl fmt::Display for EventId {
 /// assert!(early < tie && tie < late);
 /// assert_eq!(key_time(tie), SimTime::from_secs(1.0));
 /// ```
+#[inline]
 pub fn key(time: SimTime, seq: u64) -> u128 {
     (u128::from(time.as_secs().to_bits()) << 64) | u128::from(seq)
 }
 
 /// The time half of a [`key`].
+#[inline]
 pub fn key_time(key: u128) -> SimTime {
     SimTime::from_key_bits((key >> 64) as u64)
 }
 
-/// The sequence-number half of a [`key`].
-fn key_seq(key: u128) -> u64 {
+/// The sequence-number half of a [`key`]. With sequence numbers taken
+/// in scheduling order, it orders keys by when they were scheduled.
+#[inline]
+pub fn key_seq(key: u128) -> u64 {
     key as u64
 }
 

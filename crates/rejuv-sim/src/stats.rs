@@ -49,6 +49,7 @@ impl TimeWeighted {
     ///
     /// Panics if `now` precedes the previous update (simulation time is
     /// monotone).
+    #[inline]
     pub fn update(&mut self, now: SimTime, value: f64) {
         assert!(
             now >= self.last_change,

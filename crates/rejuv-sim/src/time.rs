@@ -36,6 +36,7 @@ impl SimTime {
     /// Panics if `secs` is negative, NaN, or infinite. Simulation times
     /// come from validated distributions; a bad value here is a model bug
     /// that must fail fast. `-0.0` is accepted and stored as `+0.0`.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -47,6 +48,7 @@ impl SimTime {
 
     /// The time whose `f64` bits are `bits`, as read back from an
     /// event-queue key built from a valid `SimTime`.
+    #[inline]
     pub(crate) fn from_key_bits(bits: u64) -> Self {
         let secs = f64::from_bits(bits);
         debug_assert!(secs.is_finite() && secs.is_sign_positive());
@@ -54,6 +56,7 @@ impl SimTime {
     }
 
     /// The value in seconds.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
@@ -88,21 +91,26 @@ impl Deserialize for SimTime {
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Values are finite by construction, so partial_cmp cannot fail.
-        self.0.partial_cmp(&other.0).expect("SimTime is finite")
+        // Values are finite, non-negative and never `-0.0` by
+        // construction; on that domain the IEEE total order is the
+        // numeric order, and it needs no failure branch.
+        self.0.total_cmp(&other.0)
     }
 }
 
 impl Add for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime::from_secs(self.0 + rhs.0)
     }
@@ -121,6 +129,7 @@ impl Sub for SimTime {
     ///
     /// Panics if the result would be negative; use
     /// [`SimTime::saturating_sub`] when that is expected.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime::from_secs(self.0 - rhs.0)
     }
@@ -197,6 +206,35 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.cmp(&a), Ordering::Equal);
         assert_eq!(a.max(b), b);
+    }
+
+    #[test]
+    fn total_cmp_orders_exactly_as_partial_cmp() {
+        // Zero (also from a `-0.0` input), the subnormals' ends, the
+        // smallest normal, one and the largest value, each with its ulp
+        // neighbours: every place on the valid domain where the IEEE
+        // total order and the numeric order could part.
+        let mut secs = vec![-0.0, 0.0];
+        for centre in [
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+        ] {
+            secs.extend([centre.next_down(), centre, centre.next_up()]);
+        }
+        secs.retain(|s| s.is_finite() && *s >= 0.0);
+        assert_eq!(secs.len(), 16, "{secs:?}");
+        for &a in &secs {
+            for &b in &secs {
+                let (x, y) = (SimTime::from_secs(a), SimTime::from_secs(b));
+                let numeric = x.0.partial_cmp(&y.0).expect("SimTime is finite");
+                assert_eq!(x.cmp(&y), numeric, "{a:e} vs {b:e}");
+                assert_eq!(x.partial_cmp(&y), Some(numeric));
+                assert_eq!(x == y, numeric == Ordering::Equal);
+            }
+        }
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl Exponential {
     ///
     /// Uses `1 − U` with `U ∈ [0, 1)` so the logarithm argument is never
     /// zero.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.random::<f64>();
         -(-u).ln_1p() / self.rate

@@ -46,6 +46,7 @@ impl OnlineStats {
     ///
     /// Non-finite values are ignored (and not counted); response-time
     /// streams must never poison downstream statistics with a NaN.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         if !x.is_finite() {
             return;
