@@ -123,6 +123,52 @@ fn figures_quick_output_is_pinned() {
     );
 }
 
+/// The FNV-1a 64 digest of each artifact of the CI cluster smoke's
+/// `monitord --hosts 3 --load 8.0 --transactions 6000` run: the merged
+/// host-tagged system trace, the monitor event log and the report.
+const MONITORD_CLUSTER_DIGESTS: [(&str, u64); 3] = [
+    ("system.jsonl", 0x362733cf29907d48),
+    ("trace.jsonl", 0x28086cdabbba7d74),
+    ("report.json", 0x209d04df057058c2),
+];
+
+/// Pins the cluster model as `monitord` drives it, so a change to the
+/// cluster or the monitoring plane that moves any byte of its artifacts
+/// fails here. After an *intentional* change, the failure prints the
+/// new table.
+#[test]
+fn monitord_cluster_outputs_are_pinned() {
+    let out = tempdir("monitord-cluster-pin");
+    let out = Path::new(&out);
+    let status = Command::new(monitord_bin())
+        .args(["--hosts", "3", "--load", "8.0", "--transactions", "6000"])
+        .arg("--system-trace")
+        .arg(out.join("system.jsonl"))
+        .arg("--trace")
+        .arg(out.join("trace.jsonl"))
+        .arg("--report")
+        .arg(out.join("report.json"))
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("monitord runs");
+    assert!(status.success());
+    let actual: Vec<(&str, u64)> = MONITORD_CLUSTER_DIGESTS
+        .iter()
+        .map(|&(name, _)| {
+            let bytes = std::fs::read(out.join(name)).expect("artifact written");
+            (name, fnv1a64(&bytes))
+        })
+        .collect();
+    assert!(
+        actual == MONITORD_CLUSTER_DIGESTS,
+        "the monitord cluster artifacts moved; the current digests are\n{}",
+        actual
+            .iter()
+            .map(|(name, digest)| format!("    ({name:?}, {digest:#x}),\n"))
+            .collect::<String>()
+    );
+}
+
 #[test]
 fn optimize_prints_a_pareto_front() {
     let output = Command::new(optimize_bin())
