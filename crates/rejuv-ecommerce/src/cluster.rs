@@ -12,16 +12,15 @@
 //! routes around it.
 
 use crate::config::SystemConfig;
+use crate::host::{Arrivals, Clock, Host, HostEvent, UnitDraws};
 use crate::metrics::{MetricsCollector, RunMetrics};
-use crate::trace::{EventTrace, SystemEvent};
+use crate::trace::EventTrace;
 use crate::workload::RateProfile;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rejuv_core::RejuvenationDetector;
-use rejuv_sim::{Engine, EventId, RngStreams, SimTime};
-use rejuv_stats::Exponential;
+use rejuv_sim::{RngStreams, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// How the load balancer picks a host for each arriving transaction.
@@ -41,63 +40,19 @@ pub enum RoutingPolicy {
 enum Event {
     /// A transaction arrives at the balancer.
     Arrival,
-    /// Thread `thread` on host `host` finishes processing.
-    Completion { host: usize, thread: u64 },
-    /// Full GC ends on `host`.
-    GcEnd { host: usize },
-    /// Rejuvenation downtime ends on `host`.
-    HostUp { host: usize },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RunningThread {
-    id: u64,
-    arrival_time: SimTime,
-    completion_event: EventId,
-    completion_time: SimTime,
-}
-
-/// Per-host state: the §3 model minus the arrival process.
-struct Host {
-    queue: VecDeque<(u64, SimTime)>,
-    /// The threads holding a CPU, in ascending id order (ids grow with
-    /// arrival and the queue is FCFS).
-    running: Vec<RunningThread>,
-    heap_used_mb: f64,
-    gc_end_time: Option<SimTime>,
-    gc_end_event: Option<EventId>,
-    detector: Option<Box<dyn RejuvenationDetector>>,
-    /// `Some(until)` while the host is down for rejuvenation.
-    down_until: Option<SimTime>,
-    gc_total: u64,
-    rejuvenations: u64,
-}
-
-impl Host {
-    fn new(detector: Option<Box<dyn RejuvenationDetector>>) -> Self {
-        Host {
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            heap_used_mb: 0.0,
-            gc_end_time: None,
-            gc_end_event: None,
-            detector,
-            down_until: None,
-            gc_total: 0,
-            rejuvenations: 0,
-        }
-    }
-
-    fn active_threads(&self) -> usize {
-        self.queue.len() + self.running.len()
-    }
-
-    fn is_available(&self) -> bool {
-        self.down_until.is_none()
-    }
+    /// A completion or GC end on a host.
+    Host(usize, HostEvent),
+    /// Rejuvenation downtime ends on a host.
+    HostUp(usize),
 }
 
 /// A cluster of `H` hosts running the §3 model behind one balancer.
+///
+/// Every host is the single-host model's host (the crate's `host`
+/// module); the cluster adds one arrival stream, the routing and the
+/// downtime. The event calendar is the single-host model's too: the
+/// next event is the smallest of the arrival key and each host's GC-end,
+/// up and next-completion keys, an O(hosts) scan as routing is.
 ///
 /// # Example
 ///
@@ -113,27 +68,20 @@ impl Host {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct ClusterSystem {
-    /// Per-host model parameters (its `arrival_rate` field is unused; the
-    /// cluster arrival rate governs).
-    host_config: SystemConfig,
-    hosts: Vec<Host>,
-    engine: Engine<Event>,
+    /// The hosts; each host's config is the per-host model (its
+    /// `arrival_rate` field is unused; the cluster arrival rate governs).
+    pub(crate) hosts: Vec<Host>,
+    clock: Clock,
+    arrivals: Arrivals,
+    /// One service stream shared by every host.
+    services: UnitDraws,
     policy: RoutingPolicy,
     rr_next: usize,
-    arrival_dist: Exponential,
-    arrival_rng: StdRng,
     routing_rng: StdRng,
-    service_rng: StdRng,
-    service_dist: Exponential,
-    profile: Option<RateProfile>,
     /// Seconds a host stays down after a rejuvenation.
     downtime_secs: f64,
-    next_thread_id: u64,
     /// Transactions dropped because every host was down.
     rejected_no_host: u64,
-    /// Per-host system event traces; `None` until
-    /// [`ClusterSystem::enable_trace`].
-    traces: Option<Vec<EventTrace>>,
 }
 
 /// Metrics of one cluster run.
@@ -170,60 +118,57 @@ impl ClusterSystem {
     ) -> Self {
         assert!(hosts > 0, "a cluster needs at least one host");
         assert!(
+            cluster_arrival_rate.is_finite() && cluster_arrival_rate > 0.0,
+            "cluster arrival rate must be positive"
+        );
+        assert!(
             downtime_secs.is_finite() && downtime_secs >= 0.0,
             "downtime must be non-negative"
         );
         let streams = RngStreams::new(seed);
         ClusterSystem {
-            arrival_dist: Exponential::new(cluster_arrival_rate)
-                .expect("cluster arrival rate must be positive"),
-            service_dist: Exponential::new(host_config.service_rate())
-                .expect("config validated the service rate"),
-            hosts: (0..hosts).map(|_| Host::new(None)).collect(),
-            host_config,
-            engine: Engine::new(),
+            hosts: (0..hosts).map(|_| Host::new(host_config)).collect(),
+            clock: Clock::default(),
+            arrivals: Arrivals::new(cluster_arrival_rate, streams.stream(0)),
+            services: UnitDraws::new(streams.stream(2)),
             policy,
             rr_next: 0,
-            arrival_rng: streams.stream(0),
             routing_rng: streams.stream(1),
-            service_rng: streams.stream(2),
-            profile: None,
             downtime_secs,
-            next_thread_id: 0,
             rejected_no_host: 0,
-            traces: None,
         }
     }
 
-    /// Starts recording per-host [`SystemEvent`]s (GC, overhead-regime
-    /// crossings, rejuvenations), each host keeping at most `capacity`
-    /// recent events. Export the merged host-tagged document with
-    /// [`ClusterSystem::take_traces`] and
+    /// Starts recording per-host [`crate::trace::SystemEvent`]s (GC,
+    /// overhead-regime crossings, rejuvenations), each host keeping at
+    /// most `capacity` recent events. Export the merged host-tagged
+    /// document with [`ClusterSystem::take_traces`] and
     /// [`crate::trace::write_merged_jsonl`].
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.traces = Some(
-            (0..self.hosts.len())
-                .map(|_| EventTrace::new(capacity))
-                .collect(),
-        );
+        for host in &mut self.hosts {
+            host.trace = Some(EventTrace::new(capacity));
+        }
     }
 
     /// The recorded trace of `host`, if tracing is enabled.
     ///
     /// # Panics
     ///
-    /// Panics if `host` is out of range while tracing is enabled.
+    /// Panics if `host` is out of range.
     pub fn trace(&self, host: usize) -> Option<&EventTrace> {
-        self.traces.as_ref().map(|t| &t[host])
+        self.hosts[host].trace.as_ref()
     }
 
     /// Takes ownership of all per-host traces (disables tracing).
     pub fn take_traces(&mut self) -> Option<Vec<EventTrace>> {
-        self.traces.take()
+        self.hosts
+            .iter_mut()
+            .map(|host| host.trace.take())
+            .collect()
     }
 
     /// Attaches a detector to host `host` (replacing any existing one).
@@ -240,16 +185,14 @@ impl ClusterSystem {
     where
         F: FnMut(usize) -> Box<dyn RejuvenationDetector>,
     {
-        for h in 0..self.hosts.len() {
-            self.hosts[h].detector = Some(factory(h));
+        for (index, host) in self.hosts.iter_mut().enumerate() {
+            host.detector = Some(factory(index));
         }
     }
 
     /// Drives cluster arrivals from a time-varying profile (total rate).
     pub fn set_rate_profile(&mut self, profile: RateProfile) {
-        self.arrival_dist =
-            Exponential::new(profile.max_rate()).expect("validated profile has a positive max");
-        self.profile = Some(profile);
+        self.arrivals.set_profile(profile);
     }
 
     /// Number of hosts.
@@ -259,7 +202,7 @@ impl ClusterSystem {
 
     /// Number of hosts currently in rotation.
     pub fn available_hosts(&self) -> usize {
-        self.hosts.iter().filter(|h| h.is_available()).count()
+        self.hosts.iter().filter(|h| h.up.is_none()).count()
     }
 
     /// Total active threads across all hosts.
@@ -271,132 +214,89 @@ impl ClusterSystem {
     /// rejected), returning per-run metrics.
     pub fn run(&mut self, transactions: u64) -> ClusterMetrics {
         let mut metrics = MetricsCollector::new(false);
-        let start_time = self.engine.now();
-        let gc_before: Vec<u64> = self.hosts.iter().map(|h| h.gc_total).collect();
-        let rejuv_before: Vec<u64> = self.hosts.iter().map(|h| h.rejuvenations).collect();
+        let start_time = self.clock.now;
+        for host in &mut self.hosts {
+            host.begin_run(start_time);
+        }
         let rejected_before = self.rejected_no_host;
 
-        if self.engine.pending() == 0 {
-            self.schedule_arrival();
+        if self.arrivals.key.is_none() {
+            self.arrivals.schedule(&mut self.clock);
         }
 
         while metrics.total() + (self.rejected_no_host - rejected_before) < transactions {
-            let Some((_, event)) = self.engine.next_event() else {
+            let Some(event) = self.next_event() else {
                 break;
             };
             match event {
                 Event::Arrival => self.on_arrival(),
-                Event::Completion { host, thread } => {
-                    self.on_completion(host, thread, &mut metrics)
+                Event::Host(index, event) => {
+                    let host = &mut self.hosts[index];
+                    let rejuvenated =
+                        host.deliver(event, &mut self.clock, &mut self.services, &mut metrics);
+                    if rejuvenated && self.downtime_secs > 0.0 {
+                        let up_at = self.clock.now + SimTime::from_secs(self.downtime_secs);
+                        host.up = Some(self.clock.schedule(up_at));
+                    }
                 }
-                Event::GcEnd { host } => self.on_gc_end(host),
-                Event::HostUp { host } => {
-                    self.hosts[host].down_until = None;
-                }
+                Event::HostUp(index) => self.hosts[index].up = None,
             }
         }
 
-        let aggregate = {
-            let mut m = metrics;
-            m.gc_count = self
-                .hosts
-                .iter()
-                .zip(&gc_before)
-                .map(|(h, &b)| h.gc_total - b)
-                .sum();
-            m.rejuvenation_count = self
-                .hosts
-                .iter()
-                .zip(&rejuv_before)
-                .map(|(h, &b)| h.rejuvenations - b)
-                .sum();
-            m.finish((self.engine.now() - start_time).as_secs())
-        };
+        metrics.gc_count = self.hosts.iter().map(|h| h.gc_count).sum();
+        metrics.rejuvenation_count = self.hosts.iter().map(|h| h.rejuvenations).sum();
         ClusterMetrics {
-            aggregate,
-            rejuvenations_per_host: self
-                .hosts
-                .iter()
-                .zip(&rejuv_before)
-                .map(|(h, &b)| h.rejuvenations - b)
-                .collect(),
-            gc_per_host: self
-                .hosts
-                .iter()
-                .zip(&gc_before)
-                .map(|(h, &b)| h.gc_total - b)
-                .collect(),
+            aggregate: metrics.finish((self.clock.now - start_time).as_secs()),
+            rejuvenations_per_host: self.hosts.iter().map(|h| h.rejuvenations).collect(),
+            gc_per_host: self.hosts.iter().map(|h| h.gc_count).collect(),
             rejected_no_host: self.rejected_no_host - rejected_before,
         }
     }
 
-    /// Arms the engine's source slot with the next balancer arrival.
-    fn schedule_arrival(&mut self) {
-        let delay = self.arrival_dist.sample(&mut self.arrival_rng);
-        self.engine
-            .schedule_source_in(SimTime::from_secs(delay), Event::Arrival);
+    /// Delivers the pending event with the smallest key, advancing the
+    /// clock to its time; `None` before the arrival process is armed.
+    #[inline]
+    fn next_event(&mut self) -> Option<Event> {
+        let mut next = self.arrivals.key?;
+        let mut event = Event::Arrival;
+        for (index, host) in self.hosts.iter().enumerate() {
+            if let Some((key, host_event)) = host.next_event() {
+                if key < next {
+                    next = key;
+                    event = Event::Host(index, host_event);
+                }
+            }
+            if let Some(up) = host.up {
+                if up < next {
+                    next = up;
+                    event = Event::HostUp(index);
+                }
+            }
+        }
+        self.clock.deliver(next);
+        Some(event)
     }
 
     fn on_arrival(&mut self) {
-        self.schedule_arrival();
-
-        if let Some(profile) = &self.profile {
-            let now = self.engine.now().as_secs();
-            let accept_p = profile.rate_at(now) / profile.max_rate();
-            if self.arrival_rng.random::<f64>() >= accept_p {
-                return;
-            }
+        if !self.arrivals.arrive(&mut self.clock) {
+            return;
         }
-
-        let Some(host) = self.pick_host() else {
-            self.rejected_no_host += 1;
-            return;
-        };
-
-        let id = self.next_thread_id;
-        self.next_thread_id += 1;
-        let now = self.engine.now();
-        let before = self.hosts[host].active_threads();
-        self.hosts[host].queue.push_back((id, now));
-        self.note_active_transition(host, before);
-        self.try_dispatch(host);
-    }
-
-    /// Emits overhead-regime crossing events into the host's trace,
-    /// comparing the active-thread count before a change to the count
-    /// now — the per-host mirror of the single-host model's hook.
-    fn note_active_transition(&mut self, host: usize, before: usize) {
-        let Some(threshold) = self.host_config.kernel_threshold() else {
-            return;
-        };
-        let Some(traces) = &mut self.traces else {
-            return;
-        };
-        let after = self.hosts[host].active_threads();
-        let at = self.engine.now().as_secs();
-        if before <= threshold && after > threshold {
-            traces[host].record(SystemEvent::OverheadEntered {
-                at,
-                active_threads: after,
-            });
-        } else if before > threshold && after <= threshold {
-            traces[host].record(SystemEvent::OverheadLeft {
-                at,
-                active_threads: after,
-            });
+        match self.pick_host() {
+            Some(host) => self.hosts[host].admit(&mut self.clock, &mut self.services),
+            None => self.rejected_no_host += 1,
         }
     }
 
     /// Routing decision over available hosts; `None` if all are down.
     fn pick_host(&mut self) -> Option<usize> {
         let hosts = &self.hosts;
-        let mut available = (0..hosts.len()).filter(|&h| hosts[h].is_available());
+        let mut available = (0..hosts.len()).filter(|&h| hosts[h].up.is_none());
         match self.policy {
             RoutingPolicy::RoundRobin => {
                 available.next()?;
                 // Advance the cursor to the next available host.
                 let mut pick = self.rr_next % hosts.len();
-                while !hosts[pick].is_available() {
+                while hosts[pick].up.is_some() {
                     pick = (pick + 1) % hosts.len();
                 }
                 self.rr_next = pick + 1;
@@ -412,144 +312,6 @@ impl ClusterSystem {
             RoutingPolicy::LeastActive => available.min_by_key(|&h| hosts[h].active_threads()),
         }
     }
-
-    fn try_dispatch(&mut self, host: usize) {
-        while self.hosts[host].running.len() < self.host_config.cpus() {
-            let Some((id, arrival_time)) = self.hosts[host].queue.pop_front() else {
-                break;
-            };
-            self.start_service(host, id, arrival_time);
-        }
-    }
-
-    fn start_service(&mut self, host: usize, id: u64, arrival_time: SimTime) {
-        let now = self.engine.now();
-        let mut processing = self.service_dist.sample(&mut self.service_rng);
-        if let Some(threshold) = self.host_config.kernel_threshold() {
-            if self.hosts[host].active_threads() + 1 > threshold {
-                processing *= self.host_config.kernel_factor();
-            }
-        }
-        let completion_time = now + SimTime::from_secs(processing);
-        let completion_event = self
-            .engine
-            .schedule_at(completion_time, Event::Completion { host, thread: id });
-        let running = &mut self.hosts[host].running;
-        debug_assert!(running.last().is_none_or(|last| last.id < id));
-        running.push(RunningThread {
-            id,
-            arrival_time,
-            completion_event,
-            completion_time,
-        });
-
-        if let Some(mem) = self.host_config.memory().copied() {
-            self.hosts[host].heap_used_mb += mem.alloc_mb;
-            let free = mem.heap_mb - self.hosts[host].heap_used_mb;
-            if free < mem.gc_free_threshold_mb && self.hosts[host].gc_end_time.is_none() {
-                self.start_gc(host, mem.gc_pause_secs);
-            }
-        }
-    }
-
-    fn start_gc(&mut self, host: usize, pause_secs: f64) {
-        self.hosts[host].gc_total += 1;
-        if let Some(traces) = &mut self.traces {
-            traces[host].record(SystemEvent::GcStarted {
-                at: self.engine.now().as_secs(),
-                heap_used_mb: self.hosts[host].heap_used_mb,
-            });
-        }
-        let now = self.engine.now();
-        let gc_end = now + SimTime::from_secs(pause_secs);
-        self.hosts[host].gc_end_time = Some(gc_end);
-        self.hosts[host].gc_end_event =
-            Some(self.engine.schedule_at(gc_end, Event::GcEnd { host }));
-
-        // Delay every running thread by the pause, rescheduling in
-        // ascending id order.
-        let pause = SimTime::from_secs(pause_secs);
-        for thread in &mut self.hosts[host].running {
-            self.engine.cancel(thread.completion_event);
-            thread.completion_time += pause;
-            thread.completion_event = self.engine.schedule_at(
-                thread.completion_time,
-                Event::Completion {
-                    host,
-                    thread: thread.id,
-                },
-            );
-        }
-    }
-
-    fn on_gc_end(&mut self, host: usize) {
-        self.hosts[host].gc_end_time = None;
-        self.hosts[host].gc_end_event = None;
-        if let Some(mem) = self.host_config.memory() {
-            let live = self.hosts[host].running.len() as f64 * mem.alloc_mb;
-            let reclaimed = (self.hosts[host].heap_used_mb - live).max(0.0);
-            self.hosts[host].heap_used_mb = live;
-            if let Some(traces) = &mut self.traces {
-                traces[host].record(SystemEvent::GcEnded {
-                    at: self.engine.now().as_secs(),
-                    reclaimed_mb: reclaimed,
-                });
-            }
-        }
-    }
-
-    fn on_completion(&mut self, host: usize, thread: u64, metrics: &mut MetricsCollector) {
-        let before = self.hosts[host].active_threads();
-        let running = &mut self.hosts[host].running;
-        let Some(index) = running.iter().position(|t| t.id == thread) else {
-            return;
-        };
-        let t = running.remove(index);
-        self.note_active_transition(host, before);
-        let now = self.engine.now();
-        let response_time = (now - t.arrival_time).as_secs();
-        metrics.record_completion(response_time);
-        self.try_dispatch(host);
-
-        let rejuvenate = match &mut self.hosts[host].detector {
-            Some(d) => d.observe_at(now.as_secs(), response_time).is_rejuvenate(),
-            None => false,
-        };
-        if rejuvenate {
-            self.rejuvenate(host, metrics);
-        }
-    }
-
-    fn rejuvenate(&mut self, host: usize, metrics: &mut MetricsCollector) {
-        let h = &mut self.hosts[host];
-        h.rejuvenations += 1;
-        metrics.rejuvenation_count += 1;
-        let before = h.active_threads();
-        metrics.lost += before as u64;
-        for thread in h.running.drain(..) {
-            self.engine.cancel(thread.completion_event);
-        }
-        h.queue.clear();
-        h.heap_used_mb = 0.0;
-        if let Some(gc_event) = h.gc_end_event.take() {
-            self.engine.cancel(gc_event);
-        }
-        h.gc_end_time = None;
-
-        if self.downtime_secs > 0.0 {
-            let up_at = self.engine.now() + SimTime::from_secs(self.downtime_secs);
-            h.down_until = Some(up_at);
-            self.engine.schedule_at(up_at, Event::HostUp { host });
-        }
-
-        if let Some(traces) = &mut self.traces {
-            traces[host].record(SystemEvent::Rejuvenated {
-                at: self.engine.now().as_secs(),
-                lost: before as u64,
-            });
-        }
-        self.note_active_transition(host, before);
-    }
 }
 
 impl fmt::Debug for ClusterSystem {
@@ -558,7 +320,7 @@ impl fmt::Debug for ClusterSystem {
             .field("hosts", &self.hosts.len())
             .field("available", &self.available_hosts())
             .field("policy", &self.policy)
-            .field("now", &self.engine.now())
+            .field("now", &self.clock.now)
             .field("active_threads", &self.active_threads())
             .finish()
     }

@@ -42,6 +42,7 @@
 
 pub mod cluster;
 pub mod config;
+mod host;
 pub mod metrics;
 pub mod mmc_mode;
 pub mod model;

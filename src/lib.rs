@@ -9,7 +9,8 @@
 //! * [`ctmc`] — continuous-time Markov chains, uniformization, phase-type
 //!   distributions (the SHARPE substitute),
 //! * [`queueing`] — M/M/c analytics and the exact sample-mean density,
-//! * [`sim`] — the discrete-event simulation engine,
+//! * [`sim`] — the discrete-event simulation substrate (clock, event
+//!   keys, RNG streams, parallel executor),
 //! * [`ecommerce`] — the DSN 2006 e-commerce system model,
 //! * [`monitor`] — the online monitoring runtime (sharded detector
 //!   supervision, snapshots, metrics, replayable event logs).
@@ -66,7 +67,7 @@ pub mod queueing {
     pub use rejuv_queueing::*;
 }
 
-/// Discrete-event simulation engine (re-export of `rejuv-sim`).
+/// Discrete-event simulation substrate (re-export of `rejuv-sim`).
 pub mod sim {
     pub use rejuv_sim::*;
 }
