@@ -245,8 +245,10 @@ impl ClusterSystem {
 
         metrics.gc_count = self.hosts.iter().map(|h| h.gc_count).sum();
         metrics.rejuvenation_count = self.hosts.iter().map(|h| h.rejuvenations).sum();
+        let now = self.clock.now;
+        let mean_active_threads = self.hosts.iter().map(|h| h.mean_active_threads(now)).sum();
         ClusterMetrics {
-            aggregate: metrics.finish((self.clock.now - start_time).as_secs()),
+            aggregate: metrics.finish((now - start_time).as_secs(), mean_active_threads),
             rejuvenations_per_host: self.hosts.iter().map(|h| h.rejuvenations).collect(),
             gc_per_host: self.hosts.iter().map(|h| h.gc_count).collect(),
             rejected_no_host: self.rejected_no_host - rejected_before,
@@ -340,6 +342,30 @@ mod tests {
                 .build()
                 .unwrap(),
         ))
+    }
+
+    #[test]
+    fn littles_law_holds_across_the_cluster() {
+        // L = λ·W over the whole cluster: the summed time-weighted host
+        // populations must equal the balancer's arrival rate times the
+        // mean response time (no detector, so nothing is lost).
+        let host = SystemConfig::paper(1.0).unwrap();
+        for policy in [
+            RoutingPolicy::LeastActive,
+            RoutingPolicy::Random,
+            RoutingPolicy::RoundRobin,
+        ] {
+            let lambda = 4.8;
+            let mut cluster = ClusterSystem::new(host, 3, lambda, policy, 0.0, 71);
+            let m = cluster.run(80_000).aggregate;
+            assert_eq!(m.lost, 0, "{policy:?}: no detector, no loss");
+            let expected_l = lambda * m.mean_response_time;
+            assert!(
+                (m.mean_active_threads / expected_l - 1.0).abs() < 0.03,
+                "{policy:?}: L = {} vs λW = {expected_l}",
+                m.mean_active_threads
+            );
+        }
     }
 
     #[test]

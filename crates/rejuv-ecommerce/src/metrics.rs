@@ -99,15 +99,7 @@ impl MetricsCollector {
         self.stats.count() + self.lost
     }
 
-    pub fn finish(self, sim_duration_secs: f64) -> RunMetrics {
-        self.finish_with_active(sim_duration_secs, 0.0)
-    }
-
-    pub fn finish_with_active(
-        self,
-        sim_duration_secs: f64,
-        mean_active_threads: f64,
-    ) -> RunMetrics {
+    pub fn finish(self, sim_duration_secs: f64, mean_active_threads: f64) -> RunMetrics {
         RunMetrics {
             completed: self.stats.count(),
             lost: self.lost,
@@ -153,7 +145,7 @@ mod tests {
         c.lost = 2;
         c.gc_count = 1;
         assert_eq!(c.total(), 4);
-        let m = c.finish(100.0);
+        let m = c.finish(100.0, 0.0);
         assert_eq!(m.completed, 2);
         assert_eq!(m.lost, 2);
         assert_eq!(m.mean_response_time, 3.0);
@@ -167,7 +159,7 @@ mod tests {
     fn recording_can_be_disabled() {
         let mut c = MetricsCollector::new(false);
         c.record_completion(1.0);
-        let m = c.finish(1.0);
+        let m = c.finish(1.0, 0.0);
         assert!(m.response_times.is_empty());
         assert_eq!(m.completed, 1);
     }

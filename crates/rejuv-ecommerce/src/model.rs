@@ -205,7 +205,7 @@ impl EcommerceSystem {
         metrics.gc_count = self.host.gc_count;
         metrics.rejuvenation_count = self.host.rejuvenations;
         let now = self.clock.now;
-        metrics.finish_with_active(
+        metrics.finish(
             (now - start_time).as_secs(),
             self.host.mean_active_threads(now),
         )

@@ -222,19 +222,19 @@ fn cluster_run(policy: RoutingPolicy) -> Vec<u64> {
 #[rustfmt::skip]
 const CLUSTER: [u64; 16] = [
     0x83b, 0x2b8, 0x401f6d057b7e3641, 0x40288c1d3634ead1, 0x4053ef8aaf1f3e08, 0x6, 0x6,
-    0x407f1c26801c4d78, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc5,
+    0x407f1c26801c4d78, 0x40505f6b99562d58, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc5,
 ];
 
 #[rustfmt::skip]
 const CLUSTER_RANDOM: [u64; 16] = [
     0x85d, 0x355, 0x40234c30095212f2, 0x4030259bd51eff57, 0x40578c7baafe4a9a, 0x6, 0x6,
-    0x407f77655db5d02a, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0x6,
+    0x407f77655db5d02a, 0x40560f347e95e4df, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0x6,
 ];
 
 #[rustfmt::skip]
 const CLUSTER_ROUND_ROBIN: [u64; 16] = [
     0x8c9, 0x22e, 0x401fdf9a2d7b2ad3, 0x4025ef9751a97f83, 0x4054d021b8880eb8, 0x6, 0x6,
-    0x407f0981d23622f3, 0x0, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc9,
+    0x407f0981d23622f3, 0x404ebf76adb385a4, 0x2, 0x2, 0x2, 0x2, 0x2, 0x2, 0xc9,
 ];
 
 #[test]
@@ -334,15 +334,15 @@ fn cluster_paths() -> Vec<Vec<u64>> {
 
 #[rustfmt::skip]
 const CLUSTER_PATHS: [&[u64]; 9] = [
-    &[0x4e20, 0x0, 0x408747b347d1be5c, 0x407dbec6d0aae0f2, 0x4099960a37ccc714, 0x44, 0x0, 0x40afcc0a5c87b39f, 0x0, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
-    &[0x1e6d, 0x866, 0x4023775f5fb5934f, 0x402d1b2e8c9e2f44, 0x4057e72d6a246650, 0x15, 0x15, 0x409a2e0035dbb97c, 0x0, 0x7, 0x7, 0x7, 0x7, 0x7, 0x7, 0x73, 0x1b3c, 0xba1, 0x4023db43fe852bf6, 0x402a812d26273373, 0x405838c711162940, 0xe, 0x16, 0x40993bc6477eafca, 0x0, 0x8, 0x8, 0x6, 0x5, 0x4, 0x5, 0x33, 0xc, 0xb, 0x32, 0x32, 0xf, 0xb, 0xb, 0x28, 0x28, 0xf, 0xc, 0xc, 0x18, 0x18, 0xd, 0xda756921415307a8],
-    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x0, 0x9, 0x6, 0x1bb8],
-    &[0x4e20, 0x0, 0x40861d23dc3981cc, 0x407d7bdbee649ef1, 0x409954393c37d454, 0x44, 0x0, 0x40af88555b2a4ac6, 0x0, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
-    &[0x1e65, 0x8e4, 0x40226f2846299977, 0x402e14fdff4ec996, 0x4057bafd33e33188, 0x16, 0x13, 0x409a0934f80f9647, 0x0, 0x6, 0x6, 0x7, 0x7, 0x8, 0x7, 0x0, 0x1ac3, 0xc4d, 0x4023716ab2e22eb1, 0x402cd7d5e1db9672, 0x4056cb8027849ba0, 0x12, 0x14, 0x409998d8602536c9, 0x0, 0x7, 0x6, 0x7, 0x6, 0x6, 0x6, 0x0, 0xd, 0xc, 0x17, 0x17, 0xd, 0xe, 0xe, 0x10, 0x10, 0xc, 0xd, 0xd, 0x20, 0x20, 0xe, 0xc64d89b31e87bc6c],
-    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x0, 0x9, 0x6, 0x1bb8],
-    &[0x4e20, 0x0, 0x40853d0d6c156b57, 0x407d41afca333d33, 0x4098a46d88c02bdc, 0x44, 0x0, 0x40af55509d8129c7, 0x0, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
-    &[0x1e39, 0x8d7, 0x40217dc8db98baea, 0x402add6e020fc224, 0x40567065b38d8ba0, 0x15, 0x12, 0x4099ee98b90c584e, 0x0, 0x6, 0x6, 0x6, 0x7, 0x7, 0x7, 0x0, 0x1afa, 0xc16, 0x4022e1a5f2c2375d, 0x402bb072895eadb8, 0x40573af5baf6cc40, 0x11, 0x14, 0x40991c84411eba1a, 0x0, 0x7, 0x7, 0x6, 0x6, 0x5, 0x6, 0x0, 0xd, 0xd, 0x16, 0x16, 0xd, 0xc, 0xb, 0x17, 0x17, 0xd, 0xd, 0xd, 0x18, 0x18, 0xc, 0x72bf0a092eeb7a0b],
-    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x0, 0x9, 0x6, 0x1bb8],
+    &[0x4e20, 0x0, 0x408747b347d1be5c, 0x407dbec6d0aae0f2, 0x4099960a37ccc714, 0x44, 0x0, 0x40afcc0a5c87b39f, 0x40b7be34c5a0a14c, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
+    &[0x1e6d, 0x866, 0x4023775f5fb5934f, 0x402d1b2e8c9e2f44, 0x4057e72d6a246650, 0x15, 0x15, 0x409a2e0035dbb97c, 0x4053a7a68f2422b6, 0x7, 0x7, 0x7, 0x7, 0x7, 0x7, 0x73, 0x1b3c, 0xba1, 0x4023db43fe852bf6, 0x402a812d26273373, 0x405838c711162940, 0xe, 0x16, 0x40993bc6477eafca, 0x40548ce5e2da8064, 0x8, 0x8, 0x6, 0x5, 0x4, 0x5, 0x33, 0xc, 0xb, 0x32, 0x32, 0xf, 0xb, 0xb, 0x28, 0x28, 0xf, 0xc, 0xc, 0x18, 0x18, 0xd, 0xda756921415307a8],
+    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x400669dcfdf1059b, 0x9, 0x6, 0x1bb8],
+    &[0x4e20, 0x0, 0x40861d23dc3981cc, 0x407d7bdbee649ef1, 0x409954393c37d454, 0x44, 0x0, 0x40af88555b2a4ac6, 0x40b6cfa89a6212d0, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
+    &[0x1e65, 0x8e4, 0x40226f2846299977, 0x402e14fdff4ec996, 0x4057bafd33e33188, 0x16, 0x13, 0x409a0934f80f9647, 0x40552eaa997b17e4, 0x6, 0x6, 0x7, 0x7, 0x8, 0x7, 0x0, 0x1ac3, 0xc4d, 0x4023716ab2e22eb1, 0x402cd7d5e1db9672, 0x4056cb8027849ba0, 0x12, 0x14, 0x409998d8602536c9, 0x405905855402e184, 0x7, 0x6, 0x7, 0x6, 0x6, 0x6, 0x0, 0xd, 0xc, 0x17, 0x17, 0xd, 0xe, 0xe, 0x10, 0x10, 0xc, 0xd, 0xd, 0x20, 0x20, 0xe, 0xc64d89b31e87bc6c],
+    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x400669dcfdf1059b, 0x9, 0x6, 0x1bb8],
+    &[0x4e20, 0x0, 0x40853d0d6c156b57, 0x407d41afca333d33, 0x4098a46d88c02bdc, 0x44, 0x0, 0x40af55509d8129c7, 0x40b61b76203034ac, 0x0, 0x0, 0x0, 0x0, 0x11, 0x11, 0x11, 0x11, 0x0],
+    &[0x1e39, 0x8d7, 0x40217dc8db98baea, 0x402add6e020fc224, 0x40567065b38d8ba0, 0x15, 0x12, 0x4099ee98b90c584e, 0x405473c40575a808, 0x6, 0x6, 0x6, 0x7, 0x7, 0x7, 0x0, 0x1afa, 0xc16, 0x4022e1a5f2c2375d, 0x402bb072895eadb8, 0x40573af5baf6cc40, 0x11, 0x14, 0x40991c84411eba1a, 0x4057c8be925ff66f, 0x7, 0x7, 0x6, 0x6, 0x5, 0x6, 0x0, 0xd, 0xd, 0x16, 0x16, 0xd, 0xc, 0xb, 0x17, 0x17, 0xd, 0xd, 0xd, 0x18, 0x18, 0xc, 0x72bf0a092eeb7a0b],
+    &[0xac1, 0x97, 0x4015d3939c57d7bb, 0x401b600250963a84, 0x40546ed5cbe9d9f2, 0x6, 0x9, 0x40b8a40221b4cbfa, 0x400669dcfdf1059b, 0x9, 0x6, 0x1bb8],
 ];
 
 #[test]
