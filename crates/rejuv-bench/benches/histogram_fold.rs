@@ -8,8 +8,8 @@
 //! * `exponential` — response times with mean 5, the paper's healthy
 //!   baseline. They land in buckets 0–3 at random, so a first-match
 //!   search mispredicts its exit on most samples;
-//! * `period7` — `drain_probe`'s synthetic stream, which cycles through
-//!   seven values and so lets the branch predictor learn every exit.
+//! * `period7` — a synthetic stream that cycles through seven values
+//!   and so lets the branch predictor learn every exit.
 //!
 //! Each iteration records the next 512-sample batch of a 64-batch pool,
 //! so the predictor cannot memorise one repeated batch either. Both
@@ -41,8 +41,8 @@ fn exponential() -> Vec<f64> {
         .collect()
 }
 
-/// `examples/drain_probe.rs`'s shard-0 stream: a period-7 ramp with a
-/// spike every 997 samples.
+/// A synthetic shard-0 stream: a period-7 ramp with a spike every 997
+/// samples.
 fn period7() -> Vec<f64> {
     (0..(SAMPLES * BATCHES) as u64)
         .map(|i| {

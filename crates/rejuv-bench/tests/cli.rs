@@ -17,10 +17,6 @@ fn monitord_bin() -> &'static str {
     env!("CARGO_BIN_EXE_monitord")
 }
 
-fn bench_monitor_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_bench_monitor")
-}
-
 #[test]
 fn figures_fig5_is_fast_and_writes_artifacts() {
     let out = tempdir("fig5");
@@ -319,29 +315,28 @@ fn monitord_fleet_live_replay_and_resume_are_byte_identical() {
     assert_eq!(snapshot["shards"][3]["spec"]["kind"], "Cusum");
 }
 
-/// Runs `bin` with `args`, expecting a clean one-line failure: the
-/// given exit code, a `{prog}: ...` stderr diagnostic containing
+/// Runs `monitord` with `args`, expecting a clean one-line failure: the
+/// given exit code, a `monitord: ...` stderr diagnostic containing
 /// `needle`, and no panic backtrace.
-fn expect_bin_failure(bin: &str, prog: &str, args: &[&str], code: i32, needle: &str) {
-    let output = Command::new(bin).args(args).output().expect("binary runs");
+fn expect_failure(args: &[&str], code: i32, needle: &str) {
+    let output = Command::new(monitord_bin())
+        .args(args)
+        .output()
+        .expect("binary runs");
     assert_eq!(
         output.status.code(),
         Some(code),
-        "{prog} {args:?} exit status"
+        "monitord {args:?} exit status"
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.contains(&format!("{prog}: ")) && stderr.contains(needle),
+        stderr.contains("monitord: ") && stderr.contains(needle),
         "missing diagnostic {needle:?} in stderr:\n{stderr}"
     );
     assert!(
         !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
         "panic output leaked to the operator:\n{stderr}"
     );
-}
-
-fn expect_failure(args: &[&str], code: i32, needle: &str) {
-    expect_bin_failure(monitord_bin(), "monitord", args, code, needle);
 }
 
 #[test]
@@ -671,64 +666,6 @@ fn monitord_reports_an_unbindable_listen_address_cleanly() {
         1,
         "cannot bind --listen",
     );
-}
-
-#[test]
-fn bench_monitor_rejects_incoherent_listen_flags() {
-    let reject = |args: &[&str], needle: &str| {
-        expect_bin_failure(bench_monitor_bin(), "bench_monitor", args, 2, needle);
-    };
-    reject(
-        &["--quick", "--listen", "notanaddr"],
-        "invalid value \"notanaddr\" for --listen",
-    );
-    reject(
-        &["--quick", "--lossy", "--listen", "127.0.0.1:0"],
-        "cannot be combined with --lossy",
-    );
-}
-
-#[test]
-fn bench_monitor_reports_an_unbindable_listen_address_cleanly() {
-    let holder = std::net::TcpListener::bind("127.0.0.1:0").expect("grab a port");
-    let busy = holder.local_addr().unwrap().to_string();
-    expect_bin_failure(
-        bench_monitor_bin(),
-        "bench_monitor",
-        &[
-            "--quick",
-            "--shards",
-            "1",
-            "--observations",
-            "100",
-            "--consumers",
-            "1",
-            "--listen",
-            &busy,
-        ],
-        1,
-        "cannot bind --listen",
-    );
-}
-
-#[test]
-fn bench_monitor_rejects_degenerate_flags_without_a_backtrace() {
-    let reject = |args: &[&str], needle: &str| {
-        expect_bin_failure(bench_monitor_bin(), "bench_monitor", args, 2, needle);
-    };
-    reject(&["--shards", "0"], "--shards must be positive");
-    reject(
-        &["--producer-batch", "0"],
-        "--producer-batch must be positive",
-    );
-    reject(&["--consumers", "0"], "--consumers counts must be positive");
-    reject(&["--consumers", ""], "invalid value \"\" for --consumers");
-    reject(&["--dlq"], "--dlq only makes sense together with --lossy");
-    reject(
-        &["--lossy", "--dlq", "--dlq-cap", "0"],
-        "--dlq-cap must be positive",
-    );
-    reject(&["--bogus"], "unknown option --bogus");
 }
 
 // A `--dlq` live run records its dead-letter state in the checkpoint

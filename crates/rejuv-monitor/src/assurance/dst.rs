@@ -36,7 +36,7 @@ use crate::assurance::oracle::{
 use crate::checkpoint::save_snapshot;
 use crate::event::{read_events_tolerant, EventLog, MonitorEvent};
 use crate::pool::ConsumerPool;
-use crate::queue::ObsQueue;
+use crate::queue::{ObsQueue, UNTIMED};
 use crate::supervisor::{MonitorReport, Supervisor, SupervisorConfig, SupervisorSnapshot};
 use rand::Rng;
 use rejuv_core::{DetectorKind, DetectorSpec};
@@ -259,7 +259,7 @@ impl Scenario {
                 } else {
                     3.0 + rng.random::<f64>() * 4.0
                 };
-                let accepted = sup.ingest(shard, value);
+                let accepted = sup.sender(shard).send_batch([(value, UNTIMED)]) == 1;
                 debug_assert!(accepted, "sync workload never fills its queue");
             }
             while sup.poll_shard(shard)? > 0 {}
@@ -272,7 +272,7 @@ impl Scenario {
     /// The work-stealing pool workload. Odd shards are preloaded far
     /// beyond the steal threshold before the workers spawn, so worker 0
     /// reliably steals; total load per shard stays under the queue
-    /// capacity, so plain `send` is loss-free even if a worker crashes
+    /// capacity, so plain `send_batch` is loss-free even if a worker crashes
     /// and nothing ever drains.
     fn run_pool(
         self,
@@ -305,7 +305,7 @@ impl Scenario {
         // makes the first steal deterministic in practice.
         for (s, vals) in values.iter().enumerate() {
             for &v in vals {
-                let accepted = senders[s].send(v);
+                let accepted = senders[s].send_batch([(v, UNTIMED)]) == 1;
                 debug_assert!(accepted, "pool workload stays under capacity");
             }
         }
@@ -319,7 +319,7 @@ impl Scenario {
                 scope.spawn(move || {
                     for _ in 0..1_000 {
                         let v = 3.0 + rng.random::<f64>() * 4.0;
-                        sender.send(v);
+                        sender.send_batch([(v, UNTIMED)]);
                     }
                 });
             }
@@ -352,7 +352,7 @@ impl Scenario {
         // an empty→non-empty push, so `queue.notify-work` is reached on
         // every run whatever the interleaving above.
         if failpoints::fired().is_none() {
-            senders[0].send(5.0);
+            senders[0].send_batch([(5.0, UNTIMED)]);
             settle();
         }
         let consumer = slot
@@ -376,12 +376,12 @@ impl Scenario {
 fn run_backpressure_probe() {
     let queue = Arc::new(ObsQueue::bounded(4));
     for i in 0..4 {
-        let accepted = queue.push(5.0 + f64::from(i));
-        debug_assert!(accepted, "fill fits exactly");
+        let accepted = queue.push_batch([(5.0 + f64::from(i), UNTIMED)]);
+        debug_assert_eq!(accepted, 1, "fill fits exactly");
     }
     let producer = {
         let queue = Arc::clone(&queue);
-        std::thread::spawn(move || queue.push_blocking(9.0))
+        std::thread::spawn(move || queue.push_batch_blocking([(9.0, UNTIMED)]))
     };
     let deadline = Instant::now() + Duration::from_secs(5);
     while queue.waits() == 0 && failpoints::fired().is_none() && Instant::now() < deadline {
@@ -802,7 +802,7 @@ fn run_continuation(sup: &mut Supervisor, seed: u64) -> io::Result<()> {
     for step in 0..300u64 {
         let shard = (step % shards as u64) as usize;
         let value = 3.0 + rng.random::<f64>() * 4.0;
-        let accepted = sup.ingest(shard, value);
+        let accepted = sup.sender(shard).send_batch([(value, UNTIMED)]) == 1;
         debug_assert!(accepted, "continuation never fills its queue");
         while sup.poll_shard(shard)? > 0 {}
     }
@@ -848,7 +848,7 @@ mod tests {
         let scenario = Scenario::Single;
         let mut sup = Supervisor::with_specs(scenario.config(), &scenario.specs()).unwrap();
         for i in 0..120u64 {
-            sup.process_sync((i % 3) as usize, 4.0).unwrap();
+            sup.process_sync((i % 3) as usize, 4.0, UNTIMED).unwrap();
         }
         let snap = sup.snapshot();
         for mode in 0..4 {

@@ -331,6 +331,7 @@ pub fn check_g4_rejection_is_pure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::UNTIMED;
     use crate::supervisor::SupervisorConfig;
     use rejuv_core::{DetectorKind, DetectorSpec};
 
@@ -345,7 +346,7 @@ mod tests {
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &specs()).unwrap();
         for i in 0..120u64 {
             let shard = (i % 2) as usize;
-            sup.process_sync(shard, if shard == 1 { 55.0 } else { 4.0 })
+            sup.process_sync(shard, if shard == 1 { 55.0 } else { 4.0 }, UNTIMED)
                 .unwrap();
         }
         sup

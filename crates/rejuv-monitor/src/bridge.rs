@@ -11,6 +11,7 @@
 //! cluster host); after the run it yields the supervisor back for the
 //! final report.
 
+use crate::queue::UNTIMED;
 use crate::supervisor::{MonitorReport, Supervisor};
 use rejuv_core::{Decision, DetectorSnapshot, RejuvenationDetector, SnapshotError};
 use std::sync::{Arc, Mutex};
@@ -92,7 +93,7 @@ impl RejuvenationDetector for MonitorBridge {
         self.inner
             .lock()
             .expect("supervisor lock poisoned")
-            .process_sync(self.shard, value)
+            .process_sync(self.shard, value, UNTIMED)
             .expect("monitor event log write failed")
     }
 
@@ -100,7 +101,7 @@ impl RejuvenationDetector for MonitorBridge {
         self.inner
             .lock()
             .expect("supervisor lock poisoned")
-            .process_sync_at(self.shard, value, at_secs)
+            .process_sync(self.shard, value, at_secs)
             .expect("monitor event log write failed")
     }
 

@@ -85,6 +85,7 @@ pub fn load_snapshot(path: &Path) -> io::Result<SupervisorSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::UNTIMED;
     use crate::supervisor::tests::sraa;
     use crate::supervisor::{Supervisor, SupervisorConfig};
 
@@ -101,7 +102,7 @@ mod tests {
         let path = dir.join("ckpt.json");
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         for i in 0..25 {
-            sup.process_sync(i % 2, 40.0).unwrap();
+            sup.process_sync(i % 2, 40.0, UNTIMED).unwrap();
         }
         let snap = sup.snapshot();
         save_snapshot(&path, &snap).unwrap();
@@ -133,7 +134,7 @@ mod tests {
 
         // And the next successful save simply replaces the leftovers.
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa()]).unwrap();
-        sup.process_sync(0, 60.0).unwrap();
+        sup.process_sync(0, 60.0, UNTIMED).unwrap();
         let new = sup.snapshot();
         save_snapshot(&path, &new).unwrap();
         assert_eq!(load_snapshot(&path).unwrap(), new);
@@ -146,7 +147,7 @@ mod tests {
         let path = dir.join("ckpt.json");
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &[sraa(); 2]).unwrap();
         for i in 0..40 {
-            sup.process_sync(i % 2, 45.0).unwrap();
+            sup.process_sync(i % 2, 45.0, UNTIMED).unwrap();
         }
         save_snapshot(&path, &sup.snapshot()).unwrap();
 

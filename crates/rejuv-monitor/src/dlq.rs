@@ -133,13 +133,6 @@ impl DeadLetterQueue {
         }
     }
 
-    /// Captures one sample the main queue rejected. Returns `false`
-    /// only on DLQ overflow (the sample is lost, with accounting).
-    pub(crate) fn capture_one(&self, value: f64, at: f64) -> bool {
-        let mut it = std::iter::once((value, at));
-        self.capture_iter(&mut it, 1) == 1
-    }
-
     /// Captures up to `want` samples from `it`, oldest first. Returns
     /// the number captured; the shortfall is counted as overflow and
     /// the corresponding samples are left unconsumed in `it` (the
@@ -255,12 +248,17 @@ impl DeadLetterQueue {
 mod tests {
     use super::*;
 
+    /// Captures one sample; `false` means it overflowed.
+    fn capture_one(dlq: &DeadLetterQueue, value: f64, at: f64) -> bool {
+        dlq.capture_iter(&mut std::iter::once((value, at)), 1) == 1
+    }
+
     #[test]
     fn capture_then_overflow_accounts_every_sample() {
         let dlq = DeadLetterQueue::new(0, 2);
-        assert!(dlq.capture_one(1.0, 0.1));
-        assert!(dlq.capture_one(2.0, 0.2));
-        assert!(!dlq.capture_one(3.0, 0.3), "third sample overflows");
+        assert!(capture_one(&dlq, 1.0, 0.1));
+        assert!(capture_one(&dlq, 2.0, 0.2));
+        assert!(!capture_one(&dlq, 3.0, 0.3), "third sample overflows");
         let stats = dlq.stats();
         assert_eq!(stats.pending, 2);
         assert_eq!(stats.captured, 2);
@@ -283,7 +281,7 @@ mod tests {
     fn replay_removes_only_the_accepted_prefix() {
         let dlq = DeadLetterQueue::new(0, 8);
         for i in 0..4 {
-            assert!(dlq.capture_one(i as f64, i as f64));
+            assert!(capture_one(&dlq, i as f64, i as f64));
         }
         // Downstream only has room for two.
         let took = dlq.replay_with(|it, want| {
@@ -307,8 +305,8 @@ mod tests {
         let sub = bus.subscribe(16);
         let dlq = DeadLetterQueue::new(7, 1);
         dlq.set_bus(Arc::clone(&bus));
-        assert!(dlq.capture_one(1.0, 0.0));
-        assert!(!dlq.capture_one(2.0, 0.0));
+        assert!(capture_one(&dlq, 1.0, 0.0));
+        assert!(!capture_one(&dlq, 2.0, 0.0));
         dlq.replay_with(|it, want| it.take(want).count());
         assert_eq!(
             sub.drain(),
@@ -324,7 +322,7 @@ mod tests {
     #[test]
     fn restore_replaces_state_and_counters() {
         let dlq = DeadLetterQueue::new(0, 4);
-        assert!(dlq.capture_one(9.0, 9.0));
+        assert!(capture_one(&dlq, 9.0, 9.0));
         dlq.restore(&[(1.0, 1.0), (2.0, 2.0)], 10, 7, 3);
         let stats = dlq.stats();
         assert_eq!(stats.pending, 2);

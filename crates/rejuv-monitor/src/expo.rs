@@ -483,6 +483,7 @@ pub fn render(snap: &ExpoSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::UNTIMED;
     use crate::supervisor::tests::sraa;
     use crate::supervisor::SupervisorConfig;
 
@@ -520,7 +521,7 @@ mod tests {
     #[test]
     fn capture_is_read_only() {
         let mut sup = sample_supervisor();
-        assert!(sup.ingest(0, 4.2));
+        assert_eq!(sup.sender(0).send_batch([(4.2, UNTIMED)]), 1);
         sup.poll_all().unwrap();
         let before = serde_json::to_string_pretty(&sup.report()).unwrap();
         for _ in 0..3 {

@@ -42,7 +42,7 @@
 //!
 //! ```
 //! use rejuv_core::{DetectorKind, DetectorSpec};
-//! use rejuv_monitor::{Supervisor, SupervisorConfig};
+//! use rejuv_monitor::{Supervisor, SupervisorConfig, UNTIMED};
 //!
 //! // SRAA at the paper's SLA baseline (µX = σX = 5), n = 2, K = 5, D = 3.
 //! let spec = DetectorSpec::new(DetectorKind::Sraa);
@@ -51,13 +51,12 @@
 //!     &[spec; 4],                          // four monitored hosts
 //! )?;
 //!
-//! // Producers push through cloneable senders (possibly from other
-//! // threads); the supervisor drains in batches.
+//! // Producers push `(value, at)` batches through cloneable senders
+//! // (possibly from other threads); the supervisor drains in batches.
 //! for shard in 0..4 {
 //!     let sender = supervisor.sender(shard);
-//!     for _ in 0..100 {
-//!         sender.send(60.0); // a degraded stream
-//!     }
+//!     // A degraded stream, untimed.
+//!     assert_eq!(sender.send_batch([(60.0, UNTIMED); 100]), 100);
 //! }
 //! while supervisor.poll_all()? > 0 {}
 //!
@@ -94,14 +93,13 @@ pub use fleet::{FleetConfig, FleetError, MAX_SHARDS};
 pub use http::MetricsServer;
 pub use metrics::{Histogram, HistogramProblem, MetricsReport};
 pub use pool::{ConsumerPool, PoolJoin, PoolStats, PoolStatsHandle};
-pub use queue::{ObsQueue, Wakeup, WorkNotifier};
+pub use queue::{ObsQueue, Wakeup, WorkNotifier, UNTIMED};
 pub use supervisor::{
     CheckpointClock, CheckpointSink, DetectorKindReport, DlqSnapshot, MonitorReport, ReloadError,
     RestoreError, ShardReport, ShardSender, ShardSnapshot, Supervisor, SupervisorConfig,
     SupervisorSnapshot, SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
 };
 
-use queue::UNTIMED;
 use rejuv_core::DetectorSpec;
 use std::io;
 
@@ -214,7 +212,7 @@ fn replay_into(
             )));
         }
         // One push for the whole batch; a non-finite time is untimed,
-        // as a live run's `ingest` would have queued it.
+        // as a live untimed push would have queued it.
         let pushed = match times {
             Some(times) => queue.push_batch(
                 values
@@ -260,7 +258,7 @@ mod tests {
             } else {
                 3.0 + (i % 4) as f64
             };
-            live.ingest(shard, value);
+            live.sender(shard).send_batch([(value, UNTIMED)]);
             if i % 7 == 0 {
                 live.poll_all().unwrap();
             }
@@ -368,9 +366,9 @@ mod tests {
         let mut live = Supervisor::with_specs(config, &[sraa()]).unwrap();
         for (&value, &at) in values.iter().zip(&times) {
             if at.is_finite() {
-                live.ingest_at(0, value, at);
+                live.sender(0).send_batch([(value, at)]);
             } else {
-                live.ingest(0, value);
+                live.sender(0).send_batch([(value, UNTIMED)]);
             }
         }
         while live.poll_all().unwrap() > 0 {}

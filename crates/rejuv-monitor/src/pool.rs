@@ -674,6 +674,7 @@ fn shared_worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::UNTIMED;
     use crate::supervisor::tests::sraa;
     use crate::supervisor::SupervisorConfig;
     use proptest::prelude::*;
@@ -722,7 +723,11 @@ mod tests {
         .unwrap();
         for s in 0..shards {
             for i in 0..per_shard {
-                assert!(sup.ingest(s, synthetic(s as u64, i as u64)));
+                assert_eq!(
+                    sup.sender(s)
+                        .send_batch([(synthetic(s as u64, i as u64), UNTIMED)]),
+                    1
+                );
             }
         }
         sup
@@ -772,7 +777,7 @@ mod tests {
                 for (shard, sender) in senders.iter().enumerate() {
                     scope.spawn(move || {
                         for i in 0..10_000u64 {
-                            sender.send_blocking(synthetic(shard as u64, i));
+                            sender.send_batch_blocking([(synthetic(shard as u64, i), UNTIMED)]);
                         }
                     });
                 }
@@ -817,7 +822,7 @@ mod tests {
         let pool = ConsumerPool::spawn(sup);
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(pool.parks() >= 3, "all idle workers parked");
-        sender.send(42.0);
+        sender.send_batch([(42.0, UNTIMED)]);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while sender.backlog() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -836,7 +841,7 @@ mod tests {
         let sender = shared.with(|s| s.sender(1));
         for i in 0..200 {
             bridge.observe(4.0 + (i % 3) as f64);
-            sender.send(5.0);
+            sender.send_batch([(5.0, UNTIMED)]);
         }
         assert!(pool.join().unwrap().supervisor.is_none(), "shared flavour");
         let report = shared.report();
@@ -935,7 +940,7 @@ mod tests {
                         for _ in 0..*count {
                             let value = synthetic(*shard as u64, sent[*shard]);
                             sent[*shard] += 1;
-                            if shared.slots[*shard].queue.push(value) {
+                            if shared.slots[*shard].queue.push_batch([(value, UNTIMED)]) == 1 {
                                 accepted_values[*shard].push(value);
                             }
                         }

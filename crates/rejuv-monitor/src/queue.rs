@@ -8,22 +8,22 @@
 //! overload degrades monitoring fidelity, never source throughput.
 //!
 //! Samples are `(value, at)` pairs; `at` is a simulation timestamp in
-//! seconds, with `NaN` marking an untimed sample (producers that only
-//! have a value). Timestamps ride along so the supervisor can build
-//! inter-observation latency histograms; they never enter decision
-//! digests.
+//! seconds, with [`UNTIMED`] (`NaN`) marking an untimed sample
+//! (producers that only have a value). Timestamps ride along so the
+//! supervisor can build inter-observation latency histograms; they
+//! never enter decision digests.
 //!
 //! The queue is a mutex-guarded ring buffer stored as a structure of
-//! arrays: one ring of values, one of timestamps. Batched pushes
-//! ([`ObsQueue::push_batch`]) and batched drains
-//! ([`ObsQueue::drain_into`]) each take the lock once, which amortises
-//! it to a few nanoseconds per sample, and a drain copies each ring's
-//! contiguous spans straight into the caller's value and timestamp
-//! buffers. Any number of threads
+//! arrays: one ring of values, one of timestamps. Pushes are batches
+//! ([`ObsQueue::push_batch`]; a single sample is a batch of one) and
+//! drains are batches ([`ObsQueue::drain_into`]); each takes the lock
+//! once, which amortises it to a few nanoseconds per sample, and a
+//! drain copies each ring's contiguous spans straight into the
+//! caller's value and timestamp buffers. Any number of threads
 //! may push and drain concurrently; every operation is linearised by
 //! the lock, so the drained sequence is the push order.
 //!
-//! Blocking producers ([`ObsQueue::push_blocking`]) spin a bounded
+//! Blocking producers ([`ObsQueue::push_batch_blocking`]) spin a bounded
 //! number of times, then *park* on a condvar until the consumer frees
 //! space — a stalled consumer costs a wait counter increment, not a
 //! pegged core. Symmetrically, a [`WorkNotifier`] can be attached so an
@@ -45,8 +45,9 @@ use std::collections::TryReserveError;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Timestamp marker for samples that carry no timestamp.
-pub(crate) const UNTIMED: f64 = f64::NAN;
+/// Timestamp marker for samples that carry no timestamp: an untimed
+/// producer pushes `(value, UNTIMED)`.
+pub const UNTIMED: f64 = f64::NAN;
 
 /// How many scheduler yields a blocking push attempts before parking on
 /// the space condvar. Short stalls resolve without a park; long stalls
@@ -243,8 +244,8 @@ impl Ring {
 /// The state every clone of an [`ObsQueue`] shares.
 struct Inner {
     ring: Mutex<Ring>,
-    /// Producers in `push_blocking` park here when the queue is full;
-    /// `drain_into` notifies after freeing space.
+    /// Producers in `push_batch_blocking` park here when the queue is
+    /// full; `drain_into` notifies after freeing space.
     space: Condvar,
     capacity: usize,
     /// Mirror of the ring's occupancy, refreshed under the lock after
@@ -288,85 +289,34 @@ impl Inner {
         self.ring.lock().expect("queue lock poisoned")
     }
 
-    /// Parks on the space condvar until the ring has a free slot or
-    /// the queue shuts down.
-    fn wait_while_full<'a>(&self, ring: MutexGuard<'a, Ring>) -> MutexGuard<'a, Ring> {
-        self.space
-            .wait_while(ring, |r| {
-                r.free() == 0 && !self.shutdown.load(Ordering::SeqCst)
-            })
-            .expect("queue lock poisoned")
-    }
-
-    /// Appends `n` samples (at most the free space) under the held
-    /// lock, then publishes the occupancy, counts them and wakes the
-    /// consumer on an empty→non-empty transition.
-    fn push_locked(
-        &self,
-        mut ring: MutexGuard<'_, Ring>,
-        it: &mut impl Iterator<Item = (f64, f64)>,
-        n: usize,
-    ) {
+    /// Moves up to `want` leading samples out of `it` under one lock
+    /// acquisition, publishes the occupancy, counts them and wakes the
+    /// consumer on an empty→non-empty transition; returns how many were
+    /// accepted. Does not count drops: the caller decides whether a
+    /// shortfall is a real drop or a blocking retry.
+    fn push_batch_partial(&self, it: &mut impl Iterator<Item = (f64, f64)>, want: usize) -> usize {
+        fp!("queue.mutex.push");
+        let mut ring = self.lock();
+        let take = want.min(ring.free());
+        if take == 0 {
+            return 0;
+        }
         let was_empty = ring.len == 0;
-        ring.push(it, n);
+        ring.push(it, take);
         self.occupancy.store(ring.len, Ordering::Relaxed);
         drop(ring);
         self.counters
             .accepted
-            .fetch_add(n as u64, Ordering::Relaxed);
+            .fetch_add(take as u64, Ordering::Relaxed);
         if was_empty {
             self.notify();
-        }
-    }
-
-    /// Single push attempt; does not count drops (the caller decides
-    /// whether a full queue is a real drop or a blocking retry).
-    fn try_push(&self, value: f64, at: f64) -> bool {
-        fp!("queue.mutex.push");
-        let ring = self.lock();
-        if ring.free() == 0 {
-            return false;
-        }
-        self.push_locked(ring, &mut std::iter::once((value, at)), 1);
-        true
-    }
-
-    /// Moves up to `space` leading samples out of `it` under one lock
-    /// acquisition; returns how many were accepted.
-    fn push_batch_partial(&self, it: &mut impl Iterator<Item = (f64, f64)>, want: usize) -> usize {
-        let ring = self.lock();
-        let take = want.min(ring.free());
-        if take > 0 {
-            self.push_locked(ring, it, take);
         }
         take
     }
 
-    fn push_blocking(&self, value: f64, at: f64) -> bool {
-        for _ in 0..BLOCKING_SPIN_LIMIT {
-            if self.try_push(value, at) {
-                return true;
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            std::thread::yield_now();
-        }
-        // Park until the consumer frees space (or shutdown wakes us).
-        // The push happens under the same lock the wait releases, so
-        // space seen is space used.
-        self.counters.waits.fetch_add(1, Ordering::Relaxed);
-        fp!("queue.mutex.park");
-        let ring = self.wait_while_full(self.lock());
-        if ring.free() == 0 {
-            return false; // woken by shutdown, still full
-        }
-        self.push_locked(ring, &mut std::iter::once((value, at)), 1);
-        true
-    }
-
-    /// Parks until at least one slot is free (blocking batch refill).
-    /// Returns `false` if the queue shut down while full instead.
+    /// Spins a bounded number of times, then parks until at least one
+    /// slot is free (blocking refill). Returns `false` if the queue shut
+    /// down while full instead.
     fn wait_for_space(&self) -> bool {
         for _ in 0..BLOCKING_SPIN_LIMIT {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -378,7 +328,14 @@ impl Inner {
             std::thread::yield_now();
         }
         self.counters.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_while_full(self.lock()).free() > 0
+        fp!("queue.mutex.park");
+        self.space
+            .wait_while(self.lock(), |r| {
+                r.free() == 0 && !self.shutdown.load(Ordering::SeqCst)
+            })
+            .expect("queue lock poisoned")
+            .free()
+            > 0
     }
 
     /// Sets the sticky shutdown flag and wakes every parked producer.
@@ -464,37 +421,6 @@ impl ObsQueue {
         *self.inner.notifier.lock().expect("notifier slot poisoned") = Some(notifier);
     }
 
-    /// Offers one untimed observation; returns `false` (and counts a
-    /// drop) if the queue is full. With a dead-letter queue attached,
-    /// the sample is captured there instead and `false` means DLQ
-    /// overflow — the only remaining (and counted) loss.
-    pub fn push(&self, value: f64) -> bool {
-        self.push_at(value, UNTIMED)
-    }
-
-    /// Offers one observation stamped at `at` seconds of simulation
-    /// time; returns `false` (and counts a drop) if the queue is full.
-    /// See [`ObsQueue::push`] for the dead-letter behaviour.
-    pub fn push_at(&self, value: f64, at: f64) -> bool {
-        if let Some(dlq) = self.dlq.get() {
-            // While samples are pending in the DLQ, new lossy pushes
-            // must queue *behind* them: the logical stream is always
-            // `main queue ++ DLQ`, which is what keeps replayed runs
-            // in per-producer FIFO order (and digests deterministic).
-            if dlq.pending() > 0 {
-                return dlq.capture_one(value, at);
-            }
-        }
-        if self.inner.try_push(value, at) {
-            return true;
-        }
-        if let Some(dlq) = self.dlq.get() {
-            return dlq.capture_one(value, at);
-        }
-        self.inner.counters.dropped.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
     /// Offers a batch of `(value, at)` samples, accepting a leading
     /// prefix bounded by the free space; returns how many were
     /// accepted. The rest are counted as drops — unless a dead-letter
@@ -510,8 +436,10 @@ impl ObsQueue {
         let mut it = samples.into_iter();
         let want = it.len();
         if let Some(dlq) = self.dlq.get() {
-            // FIFO invariant: pending dead letters go first. See
-            // `push_at`.
+            // While samples are pending in the DLQ, new lossy pushes
+            // must queue *behind* them: the logical stream is always
+            // `main queue ++ DLQ`, which is what keeps replayed runs
+            // in per-producer FIFO order (and digests deterministic).
             if dlq.pending() > 0 {
                 return dlq.capture_iter(&mut it, want);
             }
@@ -551,24 +479,6 @@ impl ObsQueue {
             }
         }
         pushed
-    }
-
-    /// Pushes an untimed observation, waiting until space frees up. For
-    /// producers that must not lose samples, e.g. the throughput bench's
-    /// load generators. Returns `false` only if the queue was shut down
-    /// while full (the sample was not enqueued).
-    pub fn push_blocking(&self, value: f64) -> bool {
-        self.push_blocking_at(value, UNTIMED)
-    }
-
-    /// Pushes a timestamped observation, waiting until space frees up.
-    ///
-    /// Spins (with scheduler yields) a bounded number of times, then
-    /// parks until the consumer drains — a stalled consumer never costs
-    /// a pegged producer core. Parks are counted in [`ObsQueue::waits`].
-    /// Returns `false` only if the queue was shut down while full.
-    pub fn push_blocking_at(&self, value: f64, at: f64) -> bool {
-        self.inner.push_blocking(value, at)
     }
 
     /// Marks the queue shut down and wakes every parked producer: the
@@ -707,9 +617,9 @@ mod tests {
     #[test]
     fn push_fails_fast_when_full() {
         let q = ObsQueue::bounded(2);
-        assert!(q.push(1.0));
-        assert!(q.push(2.0));
-        assert!(!q.push(3.0));
+        assert_eq!(q.push_batch([(1.0, UNTIMED)]), 1);
+        assert_eq!(q.push_batch([(2.0, UNTIMED)]), 1);
+        assert_eq!(q.push_batch([(3.0, UNTIMED)]), 0);
         assert_eq!((q.accepted(), q.dropped(), q.len()), (2, 1, 2));
     }
 
@@ -717,12 +627,16 @@ mod tests {
     fn drain_preserves_fifo_order_and_frees_space() {
         let q = ObsQueue::bounded(3);
         for v in [1.0, 2.0, 3.0] {
-            q.push(v);
+            q.push_batch([(v, UNTIMED)]);
         }
         let mut out = Vec::new();
         assert_eq!(drain(&q, &mut out, 2), 2);
         assert_eq!(values(&out), vec![1.0, 2.0]);
-        assert!(q.push(4.0), "drain must free capacity");
+        assert_eq!(
+            q.push_batch([(4.0, UNTIMED)]),
+            1,
+            "drain must free capacity"
+        );
         assert_eq!(drain(&q, &mut out, 10), 2);
         assert_eq!(values(&out), vec![1.0, 2.0, 3.0, 4.0]);
         assert!(q.is_empty());
@@ -745,8 +659,8 @@ mod tests {
     #[test]
     fn timestamps_ride_along_and_untimed_is_nan() {
         let q = ObsQueue::bounded(4);
-        q.push_at(1.5, 10.0);
-        q.push(2.5);
+        q.push_batch([(1.5, 10.0)]);
+        q.push_batch([(2.5, UNTIMED)]);
         let mut out = Vec::new();
         drain(&q, &mut out, 8);
         assert_eq!(out[0], (1.5, 10.0));
@@ -758,7 +672,7 @@ mod tests {
     fn clones_share_state() {
         let q = ObsQueue::bounded(4);
         let producer = q.clone();
-        producer.push(7.0);
+        producer.push_batch([(7.0, UNTIMED)]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.accepted(), 1);
     }
@@ -766,7 +680,7 @@ mod tests {
     #[test]
     fn batch_push_accepts_a_prefix_and_counts_the_rest_as_drops() {
         let q = ObsQueue::bounded(4);
-        q.push(0.0);
+        q.push_batch([(0.0, UNTIMED)]);
         let batch: Vec<(f64, f64)> = (1..=5).map(|i| (i as f64, UNTIMED)).collect();
         assert_eq!(q.push_batch(batch), 3, "only three slots were free");
         assert_eq!((q.accepted(), q.dropped(), q.len()), (4, 2, 4));
@@ -799,11 +713,11 @@ mod tests {
     #[test]
     fn blocking_push_parks_instead_of_spinning() {
         let q = ObsQueue::bounded(1);
-        q.push(0.0);
+        q.push_batch([(0.0, UNTIMED)]);
         let producer = q.clone();
         let handle = std::thread::spawn(move || {
             // Queue is full: the producer must wait for the drain below.
-            producer.push_blocking(1.0);
+            producer.push_batch_blocking([(1.0, UNTIMED)]);
         });
         // Wait until the producer has exhausted its spin budget and
         // counted its park; draining earlier would let a spin succeed.
@@ -842,9 +756,9 @@ mod tests {
         let q = ObsQueue::bounded(8);
         let notifier = Arc::new(WorkNotifier::new());
         q.attach_notifier(Arc::clone(&notifier));
-        q.push(1.0);
+        q.push_batch([(1.0, UNTIMED)]);
         assert_eq!(notifier.wait(), Wakeup::Work, "first push signals");
-        q.push(2.0); // non-empty: no signal needed
+        q.push_batch([(2.0, UNTIMED)]); // non-empty: no signal needed
         notifier.shutdown();
         assert_eq!(notifier.wait(), Wakeup::Shutdown);
     }
@@ -857,37 +771,6 @@ mod tests {
         assert_eq!(n.wait(), Wakeup::Work, "pre-shutdown work drains first");
         assert_eq!(n.wait(), Wakeup::Shutdown);
         assert_eq!(n.parks(), 0, "no wait ever blocked");
-    }
-
-    #[test]
-    fn threaded_producer_consumer_loses_nothing_with_blocking_push() {
-        let q = ObsQueue::bounded(16);
-        let producer = q.clone();
-        const N: u64 = 10_000;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..N {
-                    producer.push_blocking(i as f64);
-                }
-            });
-            let mut seen = 0u64;
-            let mut batch = Vec::new();
-            let mut expected = 0.0;
-            while seen < N {
-                batch.clear();
-                let n = drain(&q, &mut batch, 64);
-                for &(v, _) in &batch {
-                    assert_eq!(v, expected, "FIFO order must survive threading");
-                    expected += 1.0;
-                }
-                seen += n as u64;
-                if n == 0 {
-                    std::thread::yield_now();
-                }
-            }
-        });
-        assert_eq!(q.accepted(), N);
-        assert_eq!(q.dropped(), 0);
     }
 
     #[test]
@@ -930,7 +813,7 @@ mod tests {
         let q = ObsQueue::bounded(8);
         assert_eq!(q.backlog_hint(), 0);
         for v in 0..5 {
-            q.push(v as f64);
+            q.push_batch([(v as f64, UNTIMED)]);
         }
         assert_eq!(q.backlog_hint(), 5);
         let mut out = Vec::new();
@@ -944,12 +827,13 @@ mod tests {
     /// full queue must be woken by `shutdown` and return short, rather
     /// than sleep forever on space that will never free (the drain
     /// plane is gone). Before the fix, the park loop re-checked only
-    /// occupancy, so the wake was lost and join hung.
+    /// occupancy, so the wake was lost and join hung. The flag stays
+    /// set until cleared; once cleared, blocking pushes work again.
     #[test]
     fn shutdown_wakes_a_parked_batch_producer() {
         let q = ObsQueue::bounded(4);
         for v in 0..4 {
-            q.push(v as f64);
+            q.push_batch([(v as f64, UNTIMED)]);
         }
         let producer = q.clone();
         let pushed = std::thread::scope(|scope| {
@@ -966,27 +850,7 @@ mod tests {
             handle.join().unwrap()
         });
         assert!(q.is_shutdown());
-        assert!(
-            pushed < 8,
-            "batch producer must return short on shutdown, pushed {pushed}"
-        );
-    }
-
-    #[test]
-    fn shutdown_wakes_a_parked_blocking_push_and_clear_rearms_it() {
-        let q = ObsQueue::bounded(2);
-        q.push(1.0);
-        q.push(2.0);
-        let producer = q.clone();
-        let accepted = std::thread::scope(|scope| {
-            let handle = scope.spawn(move || producer.push_blocking(3.0));
-            while q.waits() == 0 {
-                std::thread::yield_now();
-            }
-            q.shutdown();
-            handle.join().unwrap()
-        });
-        assert!(!accepted, "shutdown while full must refuse");
+        assert_eq!(pushed, 0, "shutdown while full must refuse the batch");
         // The flag is sticky until cleared; once cleared (the pool
         // does this on spawn) and space exists, blocking pushes
         // work again.
@@ -994,7 +858,7 @@ mod tests {
         assert!(!q.is_shutdown());
         let mut out = Vec::new();
         drain(&q, &mut out, usize::MAX);
-        assert!(q.push_blocking(4.0));
+        assert_eq!(q.push_batch_blocking([(200.0, UNTIMED)]), 1);
     }
 
     #[test]
@@ -1004,7 +868,7 @@ mod tests {
         // 2 fit, 3 dead-letter, 1 overflows the DLQ itself.
         let mut offered = 0u64;
         for v in 0..6 {
-            q.push(v as f64);
+            q.push_batch([(v as f64, UNTIMED)]);
             offered += 1;
         }
         let stats = q.dlq().unwrap().stats();
@@ -1021,15 +885,15 @@ mod tests {
     fn pending_dead_letters_divert_pushes_even_with_queue_space() {
         let q = ObsQueue::bounded(2);
         q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
-        q.push(1.0);
-        q.push(2.0);
-        q.push(3.0); // full -> dead-lettered
+        q.push_batch([(1.0, UNTIMED)]);
+        q.push_batch([(2.0, UNTIMED)]);
+        q.push_batch([(3.0, UNTIMED)]); // full -> dead-lettered
         let mut out = Vec::new();
         drain(&q, &mut out, usize::MAX); // frees all space
                                          // The logical stream is queue ++ DLQ: while sample 3.0 is
                                          // still pending, later pushes must line up behind it, not
                                          // jump into the freed slots.
-        assert!(q.push(4.0));
+        assert_eq!(q.push_batch([(4.0, UNTIMED)]), 1);
         assert_eq!(q.len(), 0, "push diverted to the DLQ");
         assert_eq!(values(&q.dlq().unwrap().contents()), vec![3.0, 4.0]);
         // Batch pushes divert the same way.
@@ -1042,7 +906,7 @@ mod tests {
         let q = ObsQueue::bounded(2);
         q.attach_dlq(Arc::new(DeadLetterQueue::new(0, 8)));
         for v in 0..5 {
-            q.push(v as f64); // 0,1 queued; 2,3,4 dead-lettered
+            q.push_batch([(v as f64, UNTIMED)]); // 0,1 queued; 2,3,4 dead-lettered
         }
         let mut out = Vec::new();
         drain(&q, &mut out, usize::MAX);
@@ -1193,7 +1057,7 @@ mod tests {
         assert_eq!(grown(&q), (10, 10));
         let mut out = Vec::new();
         drain(&q, &mut out, 4);
-        assert!(q.push(10.0));
+        assert_eq!(q.push_batch([(10.0, UNTIMED)]), 1);
         assert_eq!(grown(&q), (11, 11), "the tail grows while samples are live");
         drain(&q, &mut out, usize::MAX);
         for round in 0..1_000 {

@@ -11,9 +11,10 @@
 //! shard's observation sequence, which is what makes a recorded run
 //! exactly replayable.
 //!
-//! Observations may carry simulation timestamps ([`Supervisor::ingest_at`],
-//! [`ShardSender::send_at`]): timed samples feed a per-run
-//! `inter_observation_latency` histogram and are recorded as
+//! Observations may carry simulation timestamps: samples are
+//! `(value, at)` pairs ([`ShardSender::send_batch`]), with
+//! [`UNTIMED`](crate::queue::UNTIMED) when there is none. Timed samples
+//! feed a per-run `inter_observation_latency` histogram and are recorded as
 //! [`MonitorEvent::TimedBatch`] so replay reproduces the histogram
 //! bit-for-bit. Timestamps never enter the decision digest — a timed and
 //! an untimed run over the same values agree on every decision digest.
@@ -41,7 +42,7 @@ use crate::bus::{EventBus, OpEvent};
 use crate::dlq::{DeadLetterQueue, DlqStats};
 use crate::event::{encode_batch, encode_line, EventLog, MonitorEvent};
 use crate::metrics::{Histogram, HistogramProblem, MetricsReport};
-use crate::queue::{ObsQueue, UNTIMED};
+use crate::queue::ObsQueue;
 use rejuv_core::{ConfigError, Decision, DetectorSnapshot, DetectorSpec, RejuvenationDetector};
 use rejuv_sim::{Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
@@ -592,29 +593,11 @@ impl ShardSender {
         self.shard
     }
 
-    /// Offers one untimed observation; `false` means it was dropped to
-    /// back-pressure (and counted).
-    pub fn send(&self, value: f64) -> bool {
-        self.queue.push(value)
-    }
-
-    /// Offers one observation stamped at `at` seconds of simulation
-    /// time; `false` means dropped to back-pressure (and counted).
-    pub fn send_at(&self, value: f64, at: f64) -> bool {
-        self.queue.push_at(value, at)
-    }
-
-    /// Sends, waiting until queue space frees up (lossless producers).
-    /// Bounded spin, then a condvar park — never an unbounded busy
-    /// loop. Returns `false` only when the queue was shut down while
-    /// this producer waited (the sample was not enqueued).
-    pub fn send_blocking(&self, value: f64) -> bool {
-        self.queue.push_blocking(value)
-    }
-
-    /// Offers a batch of `(value, at)` samples under one queue lock
-    /// acquisition, returning how many were accepted; the rest are
-    /// counted as drops.
+    /// Offers a batch of `(value, at)` samples (`at` seconds of
+    /// simulation time, or [`UNTIMED`](crate::queue::UNTIMED)) under
+    /// one queue lock acquisition, returning how many were accepted;
+    /// the rest are counted as drops (or dead-lettered, see
+    /// [`ObsQueue::push_batch`]).
     pub fn send_batch<I>(&self, samples: I) -> usize
     where
         I: IntoIterator<Item = (f64, f64)>,
@@ -623,11 +606,10 @@ impl ShardSender {
         self.queue.push_batch(samples)
     }
 
-    /// Sends a whole batch losslessly, parking between refills whenever
-    /// the queue is full — the batched flavour of
-    /// [`ShardSender::send_blocking`]. Returns how many samples were
-    /// enqueued: short only when the queue was shut down while this
-    /// producer waited.
+    /// Sends a whole batch losslessly: bounded spin, then a condvar park
+    /// between refills whenever the queue is full — never an unbounded
+    /// busy loop. Returns how many samples were enqueued: short only
+    /// when the queue was shut down while this producer waited.
     pub fn send_batch_blocking<I>(&self, samples: I) -> usize
     where
         I: IntoIterator<Item = (f64, f64)>,
@@ -651,8 +633,7 @@ impl ShardSender {
 
 impl ObservationSink for ShardSender {
     fn push(&mut self, observation: Observation) -> bool {
-        self.queue
-            .push_at(observation.value, observation.at.as_secs())
+        self.push_batch(&[observation]) == 1
     }
 
     fn push_batch(&mut self, observations: &[Observation]) -> usize {
@@ -1385,18 +1366,6 @@ impl Supervisor {
         &self.shards[shard].queue
     }
 
-    /// Offers one untimed observation to `shard`'s queue without
-    /// draining; `false` means dropped to back-pressure.
-    pub fn ingest(&self, shard: usize, value: f64) -> bool {
-        self.shards[shard].queue.push(value)
-    }
-
-    /// Offers one observation stamped at `at` seconds of simulation
-    /// time; `false` means dropped to back-pressure.
-    pub fn ingest_at(&self, shard: usize, value: f64, at: f64) -> bool {
-        self.shards[shard].queue.push_at(value, at)
-    }
-
     /// Drains up to `drain_batch` pending observations of one shard
     /// through its detector, logging the batch and any rejuvenations.
     /// Returns how many observations were processed.
@@ -1490,10 +1459,12 @@ impl Supervisor {
         Ok(total)
     }
 
-    /// Synchronously feeds one untimed observation: ingest, then drain
-    /// the shard until its queue is empty, returning the decision for
-    /// the *last* processed observation (i.e. this one, when the queue
-    /// was empty).
+    /// Synchronously feeds one observation stamped at `at` seconds of
+    /// simulation time ([`UNTIMED`](crate::queue::UNTIMED) for none;
+    /// timed samples feed the inter-observation latency histogram):
+    /// push, then drain the shard until its queue is empty, returning
+    /// the decision for the *last* processed observation (i.e. this
+    /// one, when the queue was empty).
     ///
     /// This is the live-attachment path: a model that needs a decision
     /// per observation degenerates the batched drain to batch size 1,
@@ -1502,22 +1473,8 @@ impl Supervisor {
     /// # Errors
     ///
     /// Propagates event-log write failures.
-    pub fn process_sync(&mut self, shard: usize, value: f64) -> io::Result<Decision> {
-        self.process_sync_sample(shard, value, UNTIMED)
-    }
-
-    /// [`Supervisor::process_sync`] with a simulation timestamp, feeding
-    /// the inter-observation latency histogram.
-    ///
-    /// # Errors
-    ///
-    /// Propagates event-log write failures.
-    pub fn process_sync_at(&mut self, shard: usize, value: f64, at: f64) -> io::Result<Decision> {
-        self.process_sync_sample(shard, value, at)
-    }
-
-    fn process_sync_sample(&mut self, shard: usize, value: f64, at: f64) -> io::Result<Decision> {
-        if !self.shards[shard].queue.push_at(value, at) {
+    pub fn process_sync(&mut self, shard: usize, value: f64, at: f64) -> io::Result<Decision> {
+        if self.shards[shard].queue.push_batch([(value, at)]) == 0 {
             self.shards[shard].sync_drops += 1;
         }
         while self.poll_shard(shard)? > 0 {}
@@ -1775,6 +1732,7 @@ pub(crate) struct SupervisorParts {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::queue::UNTIMED;
     use rejuv_core::{DetectorKind, SnapshotError};
     use std::sync::{Arc, Mutex};
 
@@ -1802,7 +1760,7 @@ pub(crate) mod tests {
     fn batched_drain_processes_in_fifo_order() {
         let mut sup = small();
         for i in 0..20 {
-            assert!(sup.ingest(0, i as f64));
+            assert_eq!(sup.sender(0).send_batch([(i as f64, UNTIMED)]), 1);
         }
         assert_eq!(sup.poll_shard(0).unwrap(), 8, "caps at drain_batch");
         assert_eq!(sup.poll_shard(0).unwrap(), 8);
@@ -1823,7 +1781,7 @@ pub(crate) mod tests {
         let sender = sup.sender(0);
         let mut accepted = 0;
         for i in 0..10 {
-            if sender.send(i as f64) {
+            if sender.send_batch([(i as f64, UNTIMED)]) == 1 {
                 accepted += 1;
             }
         }
@@ -1849,7 +1807,7 @@ pub(crate) mod tests {
             .collect();
         for &v in &values {
             let expected = reference.observe(v);
-            assert_eq!(sup.process_sync(0, v).unwrap(), expected);
+            assert_eq!(sup.process_sync(0, v, UNTIMED).unwrap(), expected);
         }
         assert_eq!(sup.rejuvenations(0), reference.rejuvenation_count());
     }
@@ -1859,11 +1817,11 @@ pub(crate) mod tests {
         let mut a = small();
         let mut b = small();
         for v in [1.0, 2.0, 3.0] {
-            a.process_sync(0, v).unwrap();
-            b.process_sync(0, v).unwrap();
+            a.process_sync(0, v, UNTIMED).unwrap();
+            b.process_sync(0, v, UNTIMED).unwrap();
         }
         assert_eq!(a.report().shards[0].digest, b.report().shards[0].digest);
-        b.process_sync(0, 4.0).unwrap();
+        b.process_sync(0, 4.0, UNTIMED).unwrap();
         assert_ne!(a.report().shards[0].digest, b.report().shards[0].digest);
     }
 
@@ -1873,8 +1831,8 @@ pub(crate) mod tests {
         let mut untimed = small();
         for i in 0..40 {
             let v = 4.0 + (i % 3) as f64;
-            timed.process_sync_at(0, v, i as f64 * 0.5).unwrap();
-            untimed.process_sync(0, v).unwrap();
+            timed.process_sync(0, v, i as f64 * 0.5).unwrap();
+            untimed.process_sync(0, v, UNTIMED).unwrap();
         }
         // Identical values → identical digests, timestamps or not.
         assert_eq!(
@@ -1894,7 +1852,8 @@ pub(crate) mod tests {
     fn snapshot_restore_resumes_identically() {
         let mut live = small();
         for i in 0..137 {
-            live.process_sync(i % 2, 50.0 + (i % 3) as f64).unwrap();
+            live.process_sync(i % 2, 50.0 + (i % 3) as f64, UNTIMED)
+                .unwrap();
         }
         let checkpoint = live.snapshot();
 
@@ -1906,8 +1865,8 @@ pub(crate) mod tests {
             let shard = (i % 2) as usize;
             let v = 45.0 + (i % 4) as f64;
             assert_eq!(
-                live.process_sync(shard, v).unwrap(),
-                resumed.process_sync(shard, v).unwrap()
+                live.process_sync(shard, v, UNTIMED).unwrap(),
+                resumed.process_sync(shard, v, UNTIMED).unwrap()
             );
         }
         assert_eq!(live.report(), resumed.report());
@@ -1976,7 +1935,7 @@ pub(crate) mod tests {
             }),
         );
         for i in 0..35 {
-            sup.process_sync(i % 2, 5.0).unwrap();
+            sup.process_sync(i % 2, 5.0, UNTIMED).unwrap();
         }
         let seen = seen.lock().unwrap();
         assert_eq!(&*seen, &[10, 20, 30], "one checkpoint per crossed decade");
@@ -2018,7 +1977,7 @@ pub(crate) mod tests {
             }),
         );
         for i in 0..12 {
-            sup.process_sync(i % 2, 5.0).unwrap();
+            sup.process_sync(i % 2, 5.0, UNTIMED).unwrap();
         }
         // Construction reads the clock once (t=1). Each processed drain
         // reads it once more; every third drain crosses the 3 s budget
@@ -2035,11 +1994,11 @@ pub(crate) mod tests {
         drifted.buckets = 9;
         let mut donor = Supervisor::with_specs(config, &[drifted]).unwrap();
         for _ in 0..10 {
-            donor.process_sync(0, 60.0).unwrap();
+            donor.process_sync(0, 60.0, UNTIMED).unwrap();
         }
         let checkpoint = donor.snapshot();
         let mut sup = Supervisor::with_specs(config, &[spec]).unwrap();
-        sup.process_sync(0, 4.0).unwrap();
+        sup.process_sync(0, 4.0, UNTIMED).unwrap();
         let before = sup.report();
         assert_eq!(
             sup.restore(&checkpoint),
@@ -2062,8 +2021,8 @@ pub(crate) mod tests {
         let mut b =
             Supervisor::with_specs(config, &[DetectorSpec::new(DetectorKind::Clta)]).unwrap();
         for _ in 0..50 {
-            a.process_sync(0, 4.0).unwrap();
-            b.process_sync(0, 4.0).unwrap();
+            a.process_sync(0, 4.0, UNTIMED).unwrap();
+            b.process_sync(0, 4.0, UNTIMED).unwrap();
         }
         let (ra, rb) = (a.report(), b.report());
         assert_eq!(ra.shards[0].rejuvenations, 0);
@@ -2081,7 +2040,7 @@ pub(crate) mod tests {
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &specs).unwrap();
         for shard in 0..3 {
             for _ in 0..200 {
-                sup.process_sync(shard, 80.0).unwrap();
+                sup.process_sync(shard, 80.0, UNTIMED).unwrap();
             }
         }
         let report = sup.report();
@@ -2112,7 +2071,7 @@ pub(crate) mod tests {
     fn supervisor_snapshot_round_trips_through_json() {
         let mut sup = small();
         for i in 0..9 {
-            sup.process_sync_at(0, 30.0, i as f64).unwrap();
+            sup.process_sync(0, 30.0, i as f64).unwrap();
         }
         let snap = sup.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION);
@@ -2163,8 +2122,12 @@ pub(crate) mod tests {
             })
             .collect();
         for &v in &values {
-            assert!(saturated.ingest(0, v), "DLQ absorbs the overflow");
-            assert!(roomy.ingest(0, v));
+            assert_eq!(
+                saturated.sender(0).send_batch([(v, UNTIMED)]),
+                1,
+                "DLQ absorbs the overflow"
+            );
+            assert_eq!(roomy.sender(0).send_batch([(v, UNTIMED)]), 1);
         }
         while saturated.poll_shard(0).unwrap() > 0 {}
         while roomy.poll_shard(0).unwrap() > 0 {}
@@ -2185,7 +2148,7 @@ pub(crate) mod tests {
         for i in 0..12 {
             // Timestamped samples: NaN (untimed) timestamps would defeat
             // the `assert_eq!` below, NaN never comparing equal.
-            assert!(sup.ingest_at(0, 40.0 + i as f64, i as f64));
+            assert_eq!(sup.sender(0).send_batch([(40.0 + i as f64, i as f64)]), 1);
         }
         let snap = sup.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION_DLQ);
@@ -2214,7 +2177,7 @@ pub(crate) mod tests {
         let mut donor = tiny_specced(8);
         donor.enable_dlq(16);
         for i in 0..12 {
-            donor.ingest(0, 40.0 + i as f64);
+            donor.sender(0).send_batch([(40.0 + i as f64, UNTIMED)]);
         }
         let snap = donor.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION_DLQ);
@@ -2240,7 +2203,7 @@ pub(crate) mod tests {
         let mut target = Supervisor::with_specs(config, &[sraa(); 2]).unwrap();
         target.enable_dlq(8);
         for i in 0..5 {
-            target.ingest(0, i as f64);
+            target.sender(0).send_batch([(i as f64, UNTIMED)]);
         }
         assert!(target.dlq_stats(0).unwrap().pending > 0);
         target.restore(&snap).unwrap();
@@ -2258,7 +2221,7 @@ pub(crate) mod tests {
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &specs).unwrap();
         for shard in 0..2 {
             for _ in 0..30 {
-                sup.process_sync(shard, 5.0).unwrap();
+                sup.process_sync(shard, 5.0, UNTIMED).unwrap();
             }
         }
         let before = sup.report();
@@ -2293,7 +2256,7 @@ pub(crate) mod tests {
         ];
         let mut sup = Supervisor::with_specs(SupervisorConfig::default(), &specs).unwrap();
         for _ in 0..10 {
-            sup.process_sync(0, 5.0).unwrap();
+            sup.process_sync(0, 5.0, UNTIMED).unwrap();
         }
         let before = sup.report();
 
@@ -2337,13 +2300,13 @@ pub(crate) mod tests {
 
         // 4 queued, 4 dead-lettered, 2 overflowed.
         for i in 0..10 {
-            sup.ingest(0, 60.0 + i as f64);
+            sup.sender(0).send_batch([(60.0 + i as f64, UNTIMED)]);
         }
         // Drain everything (replaying the dead letters), then push the
         // detector over its threshold so a rejuvenation fires.
         while sup.poll_shard(0).unwrap() > 0 {}
         while sup.rejuvenations(0) == 0 {
-            sup.process_sync(0, 90.0).unwrap();
+            sup.process_sync(0, 90.0, UNTIMED).unwrap();
         }
         let events = sub.drain();
         let has = |pred: &dyn Fn(&OpEvent) -> bool| events.iter().any(pred);

@@ -22,7 +22,7 @@ use rejuv_core::{
     Decision, DetectorKind, DetectorSnapshot, DetectorSpec, RejuvenationDetector, SnapshotError,
 };
 use rejuv_monitor::{
-    ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig,
+    ConsumerPool, EventLog, FleetConfig, SharedBuffer, Supervisor, SupervisorConfig, UNTIMED,
 };
 use std::path::Path;
 
@@ -123,8 +123,9 @@ fn pool_run(mut sup: Supervisor, per_shard: u64) -> Artifacts {
     for shard in 0..sup.shard_count() {
         let sender = sup.sender(shard);
         for i in 0..per_shard {
-            assert!(
-                sender.send(value_at(shard as u64, i)),
+            assert_eq!(
+                sender.send_batch([(value_at(shard as u64, i), UNTIMED)]),
+                1,
                 "workload must fit the queue capacity (preloaded run)"
             );
         }
@@ -220,7 +221,9 @@ fn sync_path_batch_and_per_sample_agree() {
                 } else {
                     55.0 + (i % 7) as f64
                 };
-                let decision = sup.process_sync(shard, value).expect("no log attached");
+                let decision = sup
+                    .process_sync(shard, value, UNTIMED)
+                    .expect("no log attached");
                 if decision.is_rejuvenate() {
                     fired.push((shard, i));
                 }

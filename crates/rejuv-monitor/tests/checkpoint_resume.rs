@@ -61,7 +61,7 @@ fn full_run(ckpt: PathBuf) -> (Supervisor, SharedBuffer) {
 
     for i in 0..1_000u64 {
         let (shard, value, at) = sample(i);
-        supervisor.ingest_at(shard, value, at);
+        supervisor.sender(shard).send_batch([(value, at)]);
         if i % 11 == 0 {
             supervisor.poll_all().unwrap();
         }
@@ -116,7 +116,7 @@ fn direct_restore_continues_the_stream_without_a_trace() {
     let mut reference = Supervisor::with_specs(config(), &specs()).unwrap();
     for i in 0..1_000u64 {
         let (shard, value, at) = sample(i);
-        reference.process_sync_at(shard, value, at).unwrap();
+        reference.process_sync(shard, value, at).unwrap();
     }
 
     // Interrupted run: checkpoint into memory at observation 500, build
@@ -124,7 +124,7 @@ fn direct_restore_continues_the_stream_without_a_trace() {
     let mut first_half = Supervisor::with_specs(config(), &specs()).unwrap();
     for i in 0..500u64 {
         let (shard, value, at) = sample(i);
-        first_half.process_sync_at(shard, value, at).unwrap();
+        first_half.process_sync(shard, value, at).unwrap();
     }
     let captured = Arc::new(Mutex::new(None));
     let slot = Arc::clone(&captured);
@@ -143,7 +143,7 @@ fn direct_restore_continues_the_stream_without_a_trace() {
     second_half.restore(&snapshot).unwrap();
     for i in 500..1_000u64 {
         let (shard, value, at) = sample(i);
-        second_half.process_sync_at(shard, value, at).unwrap();
+        second_half.process_sync(shard, value, at).unwrap();
     }
 
     let expected = reference.report();

@@ -21,7 +21,7 @@ use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::expo::render;
 use rejuv_monitor::{
     ExpoSnapshot, FleetConfig, Histogram, MetricsServer, MonitorReport, ShardRuntime,
-    SharedSupervisor, Supervisor, SupervisorConfig,
+    SharedSupervisor, Supervisor, SupervisorConfig, UNTIMED,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -60,7 +60,11 @@ fn run_workload() -> Supervisor {
     let mut sup = Supervisor::with_specs(config(), fleet.specs()).expect("example fleet builds");
     let shards = fleet.shard_count() as u64;
     for i in 0..1600u64 {
-        assert!(sup.ingest((i % shards) as usize, value_at(i)));
+        assert_eq!(
+            sup.sender((i % shards) as usize)
+                .send_batch([(value_at(i), UNTIMED)]),
+            1
+        );
         if i % 23 == 0 {
             sup.poll_all().unwrap();
         }
@@ -139,7 +143,7 @@ fn capturing_a_snapshot_leaves_the_report_untouched() {
     }
     // Also after further ingestion: scrapes interleaved with work must
     // not change where the run ends up.
-    assert!(scraped.ingest(0, 3.0));
+    assert_eq!(scraped.sender(0).send_batch([(3.0, UNTIMED)]), 1);
     while scraped.poll_all().unwrap() > 0 {}
     let _ = render(&ExpoSnapshot::capture(&scraped));
     assert_eq!(

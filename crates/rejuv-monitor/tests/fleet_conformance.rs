@@ -25,7 +25,7 @@
 
 use rejuv_monitor::{
     read_events, replay_fleet_events, EventLog, FleetConfig, MonitorEvent, SharedBuffer,
-    Supervisor, SupervisorConfig, SupervisorSnapshot,
+    Supervisor, SupervisorConfig, SupervisorSnapshot, UNTIMED,
 };
 use std::path::Path;
 
@@ -100,7 +100,11 @@ fn record_live(fleet: &FleetConfig) -> (Vec<u8>, SupervisorSnapshot, rejuv_monit
     let shards = fleet.shard_count() as u64;
     let mut checkpoint = None;
     for i in 0..1600u64 {
-        assert!(sup.ingest((i % shards) as usize, value_at(i)));
+        assert_eq!(
+            sup.sender((i % shards) as usize)
+                .send_batch([(value_at(i), UNTIMED)]),
+            1
+        );
         if i % 23 == 0 {
             sup.poll_all().unwrap();
         }
@@ -126,10 +130,8 @@ fn record_live_timed(fleet: &FleetConfig) -> (Vec<u8>, rejuv_monitor::MonitorRep
     let shards = fleet.shard_count() as u64;
     for i in 0..400u64 {
         let shard = (i % shards) as usize;
-        assert!(match time_at(i) {
-            Some(at) => sup.ingest_at(shard, value_at(i), at),
-            None => sup.ingest(shard, value_at(i)),
-        });
+        let at = time_at(i).unwrap_or(UNTIMED);
+        assert_eq!(sup.sender(shard).send_batch([(value_at(i), at)]), 1);
         if i % 19 == 0 {
             sup.poll_all().unwrap();
         }

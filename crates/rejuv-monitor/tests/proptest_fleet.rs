@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rejuv_core::{DetectorKind, DetectorSpec};
-use rejuv_monitor::{FleetConfig, Supervisor, SupervisorConfig, SupervisorSnapshot};
+use rejuv_monitor::{FleetConfig, Supervisor, SupervisorConfig, SupervisorSnapshot, UNTIMED};
 
 /// An arbitrary valid spec: any detector kind with knobs drawn from
 /// ranges every kind's builder accepts, so `FleetConfig::new` never
@@ -72,7 +72,7 @@ proptest! {
         let mut live = Supervisor::with_specs(config, fleet.specs()).unwrap();
         let shards = fleet.shard_count();
         for (i, &v) in values.iter().enumerate() {
-            live.process_sync(i % shards, v).unwrap();
+            live.process_sync(i % shards, v, UNTIMED).unwrap();
         }
         let snapshot = live.snapshot();
 

@@ -12,18 +12,18 @@
 
 use proptest::prelude::*;
 use rejuv_core::{DetectorKind, DetectorSpec};
-use rejuv_monitor::{ConsumerPool, ObsQueue, Supervisor, SupervisorConfig, WorkNotifier};
+use rejuv_monitor::{ConsumerPool, ObsQueue, Supervisor, SupervisorConfig, WorkNotifier, UNTIMED};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One step of the deterministic interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// `push_at` — may drop when full.
+    /// A one-sample timed `push_batch` — may drop when full.
     Push(f64, f64),
     /// `push_batch` — accepts a prefix, drops the rest.
     PushBatch(Vec<f64>),
-    /// `push_blocking_at`, with the single-threaded convention that a
+    /// A one-sample `push_batch_blocking`, with the single-threaded convention that a
     /// full queue is first relieved by draining one sample (applied
     /// identically to queue and model, so blocking never deadlocks the
     /// test and the op still exercises the blocking entry point).
@@ -98,10 +98,7 @@ fn apply(
     out_m: &mut Vec<(f64, f64)>,
 ) -> (usize, usize) {
     match op {
-        Op::Push(v, at) => (
-            usize::from(q.push_at(*v, *at)),
-            model.push_batch(&[(*v, *at)]),
-        ),
+        Op::Push(v, at) => (q.push_batch([(*v, *at)]), model.push_batch(&[(*v, *at)])),
         Op::PushBatch(values) => {
             let samples: Vec<(f64, f64)> = values.iter().map(|&v| (v, v * 0.5)).collect();
             (
@@ -117,7 +114,7 @@ fn apply(
                 model.drain_into(out_m, 1);
             }
             (
-                usize::from(q.push_blocking_at(*v, *at)),
+                q.push_batch_blocking([(*v, *at)]),
                 model.push_batch(&[(*v, *at)]),
             )
         }
@@ -182,7 +179,7 @@ proptest! {
         let q = ObsQueue::bounded(capacity);
         let mut model = Model::new(capacity);
         for i in 0..prefill.min(capacity) {
-            q.push(i as f64);
+            q.push_batch([(i as f64, UNTIMED)]);
             model.push_batch(&[(i as f64, f64::NAN)]);
         }
         let samples: Vec<(f64, f64)> = values.iter().map(|&v| (v, v + 0.25)).collect();
@@ -255,7 +252,7 @@ fn threaded_stress_is_loss_free_and_matches_serial_digests() {
     for shard in 0..SHARDS {
         for i in 0..PER_SHARD {
             serial
-                .process_sync(shard, synthetic(shard as u64, i))
+                .process_sync(shard, synthetic(shard as u64, i), UNTIMED)
                 .expect("no log attached");
         }
     }
@@ -287,7 +284,7 @@ fn shutdown_drain_is_loss_free() {
         out
     });
     for i in 0..500u64 {
-        queue.push_blocking(i as f64);
+        queue.push_batch_blocking([(i as f64, UNTIMED)]);
     }
     notifier.shutdown();
     let out = consumer.join().unwrap();

@@ -12,7 +12,7 @@
 use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::{
     Histogram, HistogramProblem, RestoreError, Supervisor, SupervisorConfig, SupervisorSnapshot,
-    SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ,
+    SNAPSHOT_VERSION, SNAPSHOT_VERSION_DLQ, UNTIMED,
 };
 
 fn supervisor_of(kinds: &[DetectorKind]) -> Supervisor {
@@ -30,7 +30,7 @@ fn warm_up(sup: &mut Supervisor) {
         } else {
             4.0 + (i % 3) as f64
         };
-        sup.process_sync(shard, value).unwrap();
+        sup.process_sync(shard, value, UNTIMED).unwrap();
     }
 }
 

@@ -16,7 +16,7 @@ use rejuv_core::{DetectorKind, DetectorSpec};
 use rejuv_monitor::expo::render;
 use rejuv_monitor::{
     ConsumerPool, EventLog, ExpoSnapshot, MetricsServer, MonitorEvent, SharedBuffer,
-    SharedSupervisor, Supervisor, SupervisorConfig,
+    SharedSupervisor, Supervisor, SupervisorConfig, UNTIMED,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,9 +91,9 @@ fn run_schedule(consumers: usize, ops: &[Op], scrape: bool) -> Artifacts {
             Op::Ingest(shard, value) => {
                 // The 64-slot queue can fill between polls; relieve it
                 // the same way in both twins so acceptance is identical.
-                if !sup.ingest(*shard, *value) {
+                if sup.sender(*shard).send_batch([(*value, UNTIMED)]) == 0 {
                     sup.poll_all().unwrap();
-                    sup.ingest(*shard, *value);
+                    sup.sender(*shard).send_batch([(*value, UNTIMED)]);
                 }
             }
             Op::Poll => {

@@ -7,7 +7,7 @@
 use software_rejuvenation::detectors::{DetectorKind, DetectorSpec};
 use software_rejuvenation::monitor::{
     read_events, replay_fleet_events, EventLog, MonitorEvent, SharedBuffer, Supervisor,
-    SupervisorConfig,
+    SupervisorConfig, UNTIMED,
 };
 
 /// Host 2's stream degrades halfway through; the others stay healthy.
@@ -32,12 +32,13 @@ fn main() {
     let mut supervisor = Supervisor::with_specs(config, &specs).expect("valid specs");
     supervisor.set_log(EventLog::new(Box::new(log_buffer.clone())));
 
-    // Producers push through cloneable senders; a real deployment would
-    // do this from the request path of each host.
+    // Producers push `(value, at)` batches through cloneable senders
+    // (here one untimed sample at a time); a real deployment would do
+    // this from the request path of each host.
     let senders: Vec<_> = (0..hosts).map(|h| supervisor.sender(h)).collect();
     for i in 0..1_500u64 {
         for (host, sender) in senders.iter().enumerate() {
-            sender.send(response_time(host, i));
+            sender.send_batch([(response_time(host, i), UNTIMED)]);
         }
         // Drain periodically, as a monitoring loop would.
         if i % 64 == 0 {
