@@ -90,7 +90,13 @@ impl Saraa {
         self.windows_seen += 1;
         let n = self.window.size();
         let exceeded = mean > self.config.target(self.chain.bucket(), n);
-        match self.chain.step(exceeded) {
+        let event = self.chain.step(exceeded);
+        self.follow(event)
+    }
+
+    /// Resizes the window after a chain event and reports the decision.
+    fn follow(&mut self, event: BucketEvent) -> Decision {
+        match event {
             BucketEvent::Triggered => {
                 self.window.resize(self.config.initial_sample_size());
                 Decision::Rejuvenate
@@ -123,7 +129,11 @@ impl RejuvenationDetector for Saraa {
         // partial window with scalar pushes, then sum each whole window
         // with a tight slice loop — the accumulator starts from 0.0 and
         // runs left to right, exactly as repeated `push` would, so the
-        // means are bitwise-identical to the scalar path's.
+        // means are bitwise-identical to the scalar path's. The current
+        // target (bucket and window size) lives in a local, recomputed
+        // with `config.target`'s own expression only when the chain
+        // moves and the window resizes — no per-window `sqrt`.
+        let mut target = self.config.target(self.chain.bucket(), self.window.size());
         let mut i = 0;
         while i < values.len() {
             let remaining = values.len() - i;
@@ -151,8 +161,13 @@ impl RejuvenationDetector for Saraa {
                 sum / need as f64
             };
             i += need;
-            if self.apply_mean(mean).is_rejuvenate() {
-                fired.push(base_seq + (i - 1) as u64);
+            self.windows_seen += 1;
+            let event = self.chain.step(mean > target);
+            if event != BucketEvent::Stayed {
+                if self.follow(event).is_rejuvenate() {
+                    fired.push(base_seq + (i - 1) as u64);
+                }
+                target = self.config.target(self.chain.bucket(), self.window.size());
             }
         }
     }

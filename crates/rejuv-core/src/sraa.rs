@@ -92,19 +92,43 @@ impl RejuvenationDetector for Sraa {
         // SRAA never resizes its window mid-run, so the whole batch can
         // flow through the window's slice fast path: one mean emission
         // (and one chain step) per `n` samples instead of `n` pushes.
+        // The chain and the current bucket's target live in locals (the
+        // chain is written back once); the target is recomputed with
+        // `config.target`'s own expression only when the chain moves.
         let Sraa {
             config,
             window,
-            chain,
+            chain: state,
             windows_seen,
         } = self;
-        window.push_slice(values, |i, mean| {
-            *windows_seen += 1;
-            let exceeded = mean > config.target(chain.bucket());
-            if chain.step(exceeded) == BucketEvent::Triggered {
-                fired.push(base_seq + i as u64);
+        let mut chain = *state;
+        let mut target = config.target(chain.bucket());
+        let mut step = |i: usize, mean: f64| {
+            let event = chain.step(mean > target);
+            if event != BucketEvent::Stayed {
+                if event == BucketEvent::Triggered {
+                    fired.push(base_seq + i as u64);
+                }
+                target = config.target(chain.bucket());
             }
-        });
+        };
+        if window.is_clear_unit() {
+            // Window of one (the static algorithm): `push` would emit
+            // `(0.0 + v) / 1.0`, which is `v` itself except that `-0.0`
+            // becomes `+0.0` — and ±0 compare equal, NaN compares
+            // false either way — then leave the window clear again. So
+            // the raw value steps the chain directly.
+            for (i, &value) in values.iter().enumerate() {
+                step(i, value);
+            }
+            *windows_seen += values.len() as u64;
+        } else {
+            window.push_slice(values, |i, mean| {
+                *windows_seen += 1;
+                step(i, mean);
+            });
+        }
+        *state = chain;
     }
 
     fn reset(&mut self) {

@@ -53,6 +53,14 @@ impl AveragingWindow {
         self.filled
     }
 
+    /// Whether this is a window of one holding nothing, with the exact
+    /// `+0.0` sum every completed `push` leaves: each `push` then emits
+    /// `(0.0 + value) / 1.0` and returns to this state, which lets a
+    /// batch kernel skip the window altogether.
+    pub(crate) fn is_clear_unit(&self) -> bool {
+        self.size == 1 && self.filled == 0 && self.sum.to_bits() == 0
+    }
+
     /// Adds one observation; returns `Some(mean)` when this observation
     /// completes the window, which then starts empty again.
     pub fn push(&mut self, value: f64) -> Option<f64> {
